@@ -400,7 +400,7 @@ void RunDifsScenario(const Scenario& scenario, SsdKind kind,
   config.chunk_opages = 64;
   config.fill_fraction = 0.5;
   config.seed = base_seed;
-  config.resync_interval_ops = 8;  // one maintenance tick per 8 writes
+  config.maintenance_interval_ops = 8;  // one maintenance tick per 8 writes
   config.suspect_grace_ticks = scenario.grace;
 
   DifsCluster cluster(config, DeviceFactory(kind, base_seed));

@@ -21,40 +21,23 @@
 #define SALAMANDER_DIFS_CLUSTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/status.h"
-#include "core/minidisk.h"
-#include "difs/placement.h"
-#include "faults/fault_injector.h"
-#include "integrity/checksum.h"
+#include "difs/cluster_core.h"
 #include "integrity/scrub_cursor.h"
-#include "sched/queueing.h"
-#include "ssd/ssd_device.h"
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace salamander {
 
 using ChunkId = uint64_t;
 
-struct DifsConfig {
-  uint32_t nodes = 6;
-  uint32_t devices_per_node = 1;
+struct DifsConfig : ClusterConfig {
   uint32_t replication = 3;
   // diFS access-unit size in oPages (the paper's "equally-sized access
   // units"); Salamander devices set mSize equal to this.
   uint64_t chunk_opages = 64;
-  // Fraction of initial cluster slots to fill with chunk replicas.
-  double fill_fraction = 0.6;
-  uint64_t seed = 1;
-
-  // ---- Robustness knobs ----------------------------------------------------
 
   // Bounded retry with exponential backoff for kUnavailable device errors
   // (busy planes). Backoff is simulated time, accumulated in stats.
@@ -63,69 +46,6 @@ struct DifsConfig {
   // Cap on the exponent: retry r backs off base << min(r, max_shift),
   // saturating — a raw `base << r` wraps at high max_transient_retries.
   uint32_t transient_backoff_max_shift = 20;
-
-  // ---- Queueing & graceful degradation (ISSUE 9) ---------------------------
-
-  // Per-device service queues, admission control, hedged reads, and the
-  // brownout SLO guard. sched.queue_depth == 0 (default) disables the whole
-  // layer: no queues, no extra RNG streams, byte-identical outputs.
-  SchedConfig sched;
-
-  // ---- Failure domains, placement & proactive drain (ISSUE 10) -------------
-
-  // Nodes per rack / power domain. Consecutive nodes share a rack
-  // (rack = node / nodes_per_rack); 0 or 1 keeps every node its own rack.
-  // Pure topology: consumed only by domain-aware policies and harnesses,
-  // never by the baseline data path.
-  uint32_t nodes_per_rack = 0;
-
-  // Pluggable placement policy (see difs/placement.h). nullptr — the
-  // default — and UniformPlacement both reproduce the legacy single-draw
-  // linear probe bit-for-bit; a constraining policy (DomainSpreadPlacement)
-  // adds a constrained probe pass with counted fallbacks.
-  std::shared_ptr<PlacementPolicy> placement;
-
-  // When true, each recovery pass drains its budgeted batch in criticality
-  // order — chunks with fewer surviving replicas re-replicate first (ties by
-  // chunk id) — instead of FIFO. Changes only the order within a pass, so
-  // quiescent outcomes are identical; during a repair storm with admission
-  // control the 1-survivor chunks get the queue room first.
-  bool criticality_ordered_recovery = false;
-
-  // Proactive health-driven drain: when > 0, each maintenance tick scores
-  // every device (SsdDevice::HealthScore) and devices at or below the
-  // threshold are flagged and their replicas migrated off ahead of failure,
-  // accounted under drain_* (separate from reactive recovery traffic).
-  // 0 (default) disables the scan entirely.
-  double drain_health_threshold = 0.0;
-  // Look-ahead horizon for the tiring-forecast half of the health score, as
-  // a fraction of each page's current P/E count (see
-  // Ftl::ForecastTiringOPages).
-  double drain_pec_horizon = 0.25;
-
-  // Every this many foreground ops the cluster runs a maintenance tick:
-  // event-channel reconciliation (ResyncDevice for every reachable device),
-  // node outage/rejoin processing, and a retry of parked recoveries.
-  // 0 = automatic: 256 when a fault injector is attached, never otherwise —
-  // so a fault-free cluster's behavior (and RNG schedule) is untouched.
-  uint64_t resync_interval_ops = 0;
-
-  // Cluster-level chaos injector (node outages, lost AckDrains). Distinct
-  // instance from the per-device injectors; nullptr disables.
-  std::shared_ptr<FaultInjector> faults;
-
-  // ---- Suspect windows (crash-restart) -------------------------------------
-
-  // When > 0, a device that goes dark from a transient power loss is held
-  // "suspect" for this many maintenance ticks instead of having its replicas
-  // declared lost immediately. If it restarts within the window, surviving
-  // replicas are reconciled in place (generation stamps + the device's
-  // rolled-back set decide freshness) and no recovery traffic is spent; on
-  // expiry the device is treated exactly like a brick. 0 (default) keeps the
-  // legacy declare-immediately behavior and touches no code path.
-  uint64_t suspect_grace_ticks = 0;
-
-  // ---- Telemetry hooks -----------------------------------------------------
 
   // Optional trace recorder (not owned; must outlive the cluster). The
   // cluster emits instant events — recovery waves, chunk losses, node
@@ -137,46 +57,22 @@ struct DifsConfig {
   uint32_t trace_tid = 0;
 };
 
-struct DifsStats {
+// Rejects configs DifsCluster cannot run: replication >= 1, nodes >= R,
+// chunk_opages >= 1, and a valid sched config. The constructor aborts on an
+// invalid config in every build mode.
+Status ValidateDifsConfig(const DifsConfig& config);
+
+struct DifsStats : ClusterStats {
   uint64_t foreground_opage_writes = 0;
   uint64_t recovery_opage_writes = 0;  // §4.3 recovery traffic (writes)
   uint64_t recovery_opage_reads = 0;   // reads from survivor replicas
   uint64_t replicas_recovered = 0;     // successful re-replications
   uint64_t replicas_lost = 0;          // replica failures observed
-  uint64_t drains_started = 0;         // kDraining events observed
-  uint64_t drains_acked = 0;           // drains completed with AckDrain
-  // Replicas that were lost while STILL draining (forced drain finish or a
-  // brick during the grace window) — each is a failure the grace period was
-  // supposed to prevent.
-  uint64_t drain_window_losses = 0;
   uint64_t chunks_lost = 0;            // all replicas gone: data loss
   uint64_t recovery_deferred = 0;      // no eligible target at the time
-  uint64_t uncorrectable_reads = 0;    // device-level kDataLoss on reads
   uint64_t scrub_repairs = 0;          // pages rewritten after kDataLoss
-  // Largest amount of recovery I/O performed in one event wave (one
-  // ProcessEvents call) — the burstiness contrast of Fig. 1 / §4.3: a
-  // whole-device failure forces one huge wave, mDisk failures many tiny ones.
-  uint64_t max_wave_recovery_opages = 0;
-  uint64_t recovery_waves = 0;         // waves with any recovery I/O
-
-  // ---- Robustness counters -------------------------------------------------
-  uint64_t transient_retries = 0;      // kUnavailable ops retried
-  uint64_t transient_giveups = 0;      // ops still kUnavailable after retries
-  uint64_t backoff_ns = 0;             // simulated backoff time accumulated
-  uint64_t resync_passes = 0;          // ResyncDevice invocations
-  uint64_t resync_repairs = 0;         // discrepancies repaired by resync
-  uint64_t acks_lost = 0;              // AckDrains that never reached a device
-  uint64_t node_outages = 0;           // outages started
-  uint64_t outage_write_skips = 0;     // replica writes skipped, node out
-  uint64_t maintenance_ticks = 0;
 
   // ---- End-to-end integrity & scrub ---------------------------------------
-  // Silently corrupt fpage reads observed (checksum mismatches). Exact:
-  // equals the sum of the per-device injectors' read_corrupt site counters,
-  // because every injected draw happens under a cluster-issued read and the
-  // cluster snapshots each device's FTL corruption counter after every read.
-  uint64_t integrity_detected = 0;
-  uint64_t integrity_marked_bad = 0;   // replicas retired for corruption
   // Corrupt replica NOT retired because it was the chunk's last readable
   // copy — corrupt data beats no data (cf. Tai et al., live recovery).
   uint64_t integrity_retained_last_copies = 0;
@@ -186,99 +82,36 @@ struct DifsStats {
   uint64_t scrub_passes = 0;           // full scrub sweeps completed
 
   // ---- Queueing & graceful degradation (sched) ----------------------------
-  uint64_t sched_read_sheds = 0;      // foreground reads refused at admission
-  uint64_t sched_write_sheds = 0;     // foreground chunk writes refused whole
   uint64_t sched_recovery_sheds = 0;  // recovery copies aborted by admission
   uint64_t sched_scrub_sheds = 0;     // scrub positions skipped by admission
-  uint64_t sched_wait_ns = 0;         // foreground queue wait + shed backoff
-  uint64_t sched_hedged_reads = 0;    // reads that fanned out a hedge
-  uint64_t sched_hedge_wins = 0;      // hedge path completed first
   uint64_t brownout_scrub_deferrals = 0;     // ScrubStep calls deferred
   uint64_t brownout_recovery_deferrals = 0;  // recovery passes deferred
 
-  // ---- Failure domains, placement & proactive drain (ISSUE 10) ------------
-  // Candidates vetoed by the placement policy's constrained pass.
-  uint64_t placement_domain_rejections = 0;
-  // Placements that exhausted the constrained pass and fell back to the
-  // node-disjoint baseline. 0 means every placement honored the domain
-  // constraint (CheckInvariants then enforces rack-disjointness).
-  uint64_t placement_domain_fallbacks = 0;
-  uint64_t drain_devices_flagged = 0;    // devices whose health tripped
-  uint64_t drain_devices_completed = 0;  // flagged devices fully evacuated
   uint64_t drain_replicas_migrated = 0;  // replicas moved off ahead of failure
-  uint64_t drain_opage_reads = 0;        // proactive migration reads
-  uint64_t drain_opage_writes = 0;       // proactive migration writes
-  uint64_t drain_migrations_parked = 0;  // no target / copy aborted; retried
-  uint64_t drain_brownout_deferrals = 0; // drain passes yielded to brownout
-  // Drain migrations refused by queue admission. Sub-count of
-  // sched_recovery_sheds (drain I/O rides OpClass::kRecovery), so the
-  // device-giveup ledger stays exact.
-  uint64_t drain_sched_sheds = 0;
-
-  // ---- Suspect windows (crash-restart) ------------------------------------
-  uint64_t suspect_windows_started = 0;   // devices that went dark on grace
-  uint64_t suspect_windows_expired = 0;   // windows that ended in loss
-  uint64_t suspect_devices_returned = 0;  // devices back within the window
   uint64_t suspect_replicas_revived = 0;  // replicas reconciled as fresh
   uint64_t suspect_replicas_stale = 0;    // replicas pruned as stale
 
   uint64_t recovery_bytes() const { return recovery_opage_writes * 4096; }
 };
 
-// One replica's location: a slot within an mDisk of a device.
-struct ReplicaLocation {
-  uint32_t device = 0;  // global device index
-  MinidiskId mdisk = 0;
-  uint32_t slot = 0;    // chunk slot within the mDisk
-  bool live = false;
-  // The mDisk is draining (grace-period decommissioning): still readable,
-  // no longer counted toward the replication target.
-  bool draining = false;
-  // Chunk generation last successfully written to this replica. A replica on
-  // a device that went dark misses foreground writes; after the device
-  // returns, generation != chunk.generation marks the replica stale.
-  uint64_t generation = 0;
-};
+using ReplicaLocation = SlotLocation;
 
-struct Chunk {
-  ChunkId id = 0;
+struct Chunk : UnitRecord {
   std::vector<ReplicaLocation> replicas;
-  bool lost = false;
-  // End-to-end integrity metadata: checksum stamped over the chunk's logical
-  // contents (id + write generation) at bootstrap and restamped on every
-  // foreground write; recovery copies it verbatim with the data.
-  uint64_t checksum = 0;
-  uint64_t generation = 0;
 
   // Replicas counting toward the replication factor (live, not draining).
-  uint32_t live_replicas() const {
-    uint32_t n = 0;
-    for (const ReplicaLocation& r : replicas) {
-      n += (r.live && !r.draining) ? 1 : 0;
-    }
-    return n;
-  }
+  uint32_t live_replicas() const { return HealthyMembers(replicas); }
   // Replicas the data can still be read from (includes draining ones).
-  uint32_t readable_replicas() const {
-    uint32_t n = 0;
-    for (const ReplicaLocation& r : replicas) {
-      n += r.live ? 1 : 0;
-    }
-    return n;
-  }
+  uint32_t readable_replicas() const { return ReadableMembers(replicas); }
 };
 
-class DifsCluster {
+class DifsCluster : public ClusterCore {
  public:
   // `device_factory(global_index)` builds each device; indices are assigned
   // node-major (device i lives on node i / devices_per_node).
   DifsCluster(const DifsConfig& config,
               const std::function<std::unique_ptr<SsdDevice>(uint32_t)>&
                   device_factory);
-
-  // Creates chunks up to the configured fill fraction, places replicas on
-  // distinct nodes, and writes every LBA of every replica (initial load).
-  Status Bootstrap();
 
   // Issues `opage_writes` foreground writes: each picks a random chunk and
   // offset and writes it through all live replicas (one logical write = R
@@ -326,85 +159,19 @@ class DifsCluster {
   // actually read. A zero budget is a no-op.
   uint64_t ScrubStep(uint64_t opage_budget);
 
-  // Drains device events and runs the recovery scheduler (also invoked
-  // internally by StepWrites/StepReads).
-  void ProcessEvents();
-
-  // Full reconciliation: resyncs every reachable device against cluster
-  // bookkeeping, retries parked recoveries, and drives recovery to
-  // quiescence. Chaos tests call this after a fault burst to assert
-  // convergence; it is also what a maintenance tick runs periodically.
-  void ForceReconcile();
-
-  // Cross-checks the cluster's bookkeeping: slot maps <-> chunk replica
-  // records (both directions), free-slot accounting, node-disjointness of
-  // live non-draining replicas, replication bounds, draining_pending
-  // coherence, and lost <-> unreadable consistency. kInternal with a
-  // description on the first violation. O(cluster); run after every
-  // recovery wave in debug builds, and by tests/soaks at will.
-  Status CheckInvariants() const;
-
   // ---- Introspection -----------------------------------------------------
 
   const DifsStats& stats() const { return stats_; }
-  uint32_t alive_devices() const;
   uint64_t total_chunks() const { return chunks_.size(); }
   uint64_t chunks_fully_replicated() const;
   uint64_t chunks_under_replicated() const;
   uint64_t chunks_lost() const { return stats_.chunks_lost; }
   const Chunk& chunk(ChunkId id) const { return chunks_[id]; }
-  // Live cluster capacity in bytes, across all devices.
-  uint64_t live_capacity_bytes() const;
-  uint64_t initial_capacity_bytes() const { return initial_capacity_bytes_; }
-  // Total host data written across all devices (time axis for aging plots).
-  uint64_t total_bytes_written() const;
-  SsdDevice& device(uint32_t index) { return *devices_[index].device; }
-  const SsdDevice& device(uint32_t index) const {
-    return *devices_[index].device;
-  }
-  uint32_t device_count() const {
-    return static_cast<uint32_t>(devices_.size());
-  }
-  uint32_t node_of_device(uint32_t device) const {
-    return device / config_.devices_per_node;
-  }
-  // Failure-domain topology: consecutive nodes share a rack.
-  uint32_t rack_of_node(uint32_t node) const {
-    return node / (config_.nodes_per_rack == 0 ? 1 : config_.nodes_per_rack);
-  }
-  uint32_t rack_of_device(uint32_t device) const {
-    return rack_of_node(node_of_device(device));
-  }
-  uint64_t free_slots() const;
   // Chunks parked until placement capacity appears (recovery deferred).
   uint64_t chunks_waiting_capacity() const { return waiting_capacity_.size(); }
   uint64_t pending_recovery_backlog() const {
     return pending_recoveries_.size();
   }
-  // Node currently unreachable due to an injected outage, or -1.
-  int32_t outage_node() const { return outage_node_; }
-
-  // ---- Queueing & graceful degradation introspection ----------------------
-  // Simulated arrival clock: advances sched.arrival_interval_ns per
-  // foreground op while queueing is enabled; stays 0 otherwise.
-  uint64_t sched_clock_ns() const { return sched_clock_ns_; }
-  // Per-device service queue; nullptr when queueing is disabled.
-  const DeviceQueue* device_queue(uint32_t index) const {
-    return devices_[index].device->queue();
-  }
-  // Brownout controller; nullptr unless sched.slo_p99_ns > 0.
-  const BrownoutController* brownout() const { return brownout_.get(); }
-
-  // ---- Tick scheduling (discrete-event drivers) ---------------------------
-  // Instead of polling MaybeRunMaintenance after every op, an event-driven
-  // harness asks once when the next maintenance tick is due and jumps there.
-
-  // True when maintenance can never fire: auto interval (0) with no injector
-  // attached anywhere. A dormant cluster posts no maintenance events at all.
-  bool MaintenanceDormant() const;
-  // Foreground ops until the next maintenance tick fires (>= 1);
-  // UINT64_MAX when dormant.
-  uint64_t OpsUntilMaintenanceTick() const;
 
   // Simulated timestamp stamped onto trace events the cluster emits (see
   // DifsConfig::trace). The harness advances it once per day / burst.
@@ -419,82 +186,38 @@ class DifsCluster {
                       const std::string& prefix = "") const;
 
  private:
-  static constexpr int64_t kFreeSlot = -1;
+  // ---- Scheme hooks (see ClusterCore) --------------------------------------
+  const ClusterConfig& cfg() const override { return config_; }
+  ClusterStats& core_stats() override { return stats_; }
+  SchemeCounters counters() override;
+  uint64_t unit_count() const override { return chunks_.size(); }
+  UnitRecord& unit(UnitId id) override { return chunks_[id]; }
+  std::vector<SlotLocation>& members(UnitId id) override {
+    return chunks_[id].replicas;
+  }
+  void ReserveUnits(uint64_t count) override { chunks_.reserve(count); }
+  void AddUnit(std::vector<SlotLocation> placed) override;
+  StatusOr<SimDuration> WriteMember(SlotLocation& member,
+                                    uint64_t offset) override {
+    return WriteSlot(member, offset);
+  }
+  bool RestoreOne(UnitId id) override { return RecoverOneReplica(id); }
+  // Grace-window drain: replicas on the draining mDisk stay readable but no
+  // longer count toward R; the drain is acked once each has been
+  // re-replicated (or lost).
+  void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
+  // A replica is fresh iff it missed no foreground write (generation match).
+  bool MemberFresh(const UnitRecord& unit,
+                   const SlotLocation& member) const override {
+    return member.generation == unit.generation;
+  }
 
-  static constexpr int64_t kUnavailableSlot = -2;
-
-  struct DeviceState {
-    std::unique_ptr<SsdDevice> device;
-    uint32_t slots_per_mdisk = 0;
-    // Per live mDisk: slot -> chunk id, kFreeSlot, or kUnavailableSlot
-    // (slot on a draining mDisk that can take no new data).
-    std::unordered_map<MinidiskId, std::vector<int64_t>> slots;
-    uint64_t free_slot_count = 0;
-    // Draining mDisks -> chunks still awaiting re-replication before ack.
-    std::unordered_map<MinidiskId, uint32_t> draining_pending;
-    // Last value of device->dropped_events() the cluster has seen; when the
-    // counter moves, the event stream is incomplete and a resync runs.
-    uint64_t observed_dropped_events = 0;
-    // Last value of the device FTL's silent_corrupt_fpage_reads counter the
-    // cluster has reconciled into integrity_detected.
-    uint64_t observed_silent_corrupt = 0;
-    // ---- Suspect window (crash-restart) ----
-    // Device is dark but within its grace window: bookkeeping untouched.
-    bool suspect = false;
-    uint64_t suspect_ticks_left = 0;
-    // The darkness has been fully handled (window expired -> losses
-    // declared); prevents re-opening a window for the same outage. Cleared
-    // when the device serves again.
-    bool down_handled = false;
-    // ---- Proactive health-driven drain ----
-    // Health score tripped the drain threshold: replicas are being migrated
-    // off and PickTarget refuses to place new data here. Sticky — a device
-    // this close to death is never un-flagged.
-    bool health_draining = false;
-    // Evacuation completed (counted once in drain_devices_completed).
-    bool health_drain_done = false;
-  };
-
-  // Returns the number of events processed.
-  size_t ApplyDeviceEvents(uint32_t device_index);
-  void HandleMdiskLoss(uint32_t device_index, MinidiskId mdisk);
-  void HandleMdiskCreated(uint32_t device_index, MinidiskId mdisk);
-  void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk);
   // After `chunk` reached full replication, releases its draining replicas
   // and acks drains whose last pending chunk this was.
   void ReleaseDrainingReplicas(Chunk& chunk);
-  // One pass over the pending-recovery queue; returns how many replicas were
-  // successfully re-created. While the cluster is in brownout the pass is
-  // deferred (counted) unless ForceReconcile is driving convergence.
-  uint64_t DrainPendingRecoveries();
   // Attempts to restore one missing replica of `chunk_id`. Returns true on
   // success, false if no eligible target or no live source exists.
   bool RecoverOneReplica(ChunkId chunk_id);
-  bool PickTarget(const std::vector<uint32_t>& exclude_nodes,
-                  uint32_t* device_out, MinidiskId* mdisk_out,
-                  uint32_t* slot_out);
-  // Releases a slot claimed for an in-flight copy (recovery or drain
-  // migration) that aborted. Drain-aware: if the target mDisk started
-  // draining while the copy was in flight, the claim was counted in
-  // draining_pending (HandleMdiskDraining cannot tell a claim from a placed
-  // replica), so the slot is released as drained — never as new free
-  // capacity — with the pending count decremented and the drain acked when
-  // this was its last pending slot.
-  void ReleaseClaimedSlot(uint32_t device_index, MinidiskId mdisk,
-                          uint32_t slot, ChunkId chunk_id);
-  // ---- Proactive health-driven drain (ISSUE 10) ----------------------------
-  // Scores every device and flags those at or below drain_health_threshold;
-  // then migrates replicas off flagged devices. Runs inside MaintenanceTick
-  // (before its final ProcessEvents); a no-op when the threshold is 0.
-  void ProactiveDrainTick();
-  // Moves one live replica off a flagged device onto a PickTarget-chosen
-  // slot (real read + writes, drain_* accounted, admission-controlled under
-  // OpClass::kRecovery). Returns false when parked (no target, shed, or the
-  // copy aborted) — the next tick retries.
-  bool MigrateReplicaOff(Chunk& chunk, ReplicaLocation& replica);
-  // Writes one replica oPage; on success returns the device write latency.
-  StatusOr<SimDuration> WriteReplica(ReplicaLocation& replica,
-                                     uint64_t offset);
   // Shared body of StepWrites and WriteChunkAt: stamps the new generation
   // and writes every live replica. kDataLoss when the chunk is lost,
   // kUnavailable when admission control sheds the whole op (queueing only;
@@ -507,121 +230,12 @@ class DifsCluster {
   Status ReadChunkImpl(ChunkId chunk_id, const uint64_t* offset_ptr,
                        SimDuration* cost_ns);
 
-  // ---- End-to-end integrity ------------------------------------------------
-
-  // Folds the device FTL's silent-corruption counter into integrity_detected
-  // and returns how many corrupt fpage reads the last operation performed.
-  // Called after every device read so the accounting is exact even when a
-  // range read aborts partway.
-  uint64_t ObserveCorruption(uint32_t device_index);
-  // Retires a corrupt replica: frees (or drain-releases) its slot, marks it
-  // dead, and queues the chunk for re-replication unless `enqueue` is false
-  // (recovery already has it in hand). Refuses to retire the chunk's last
-  // readable copy — corrupt data beats no data — returning false and
-  // counting integrity_retained_last_copies instead.
-  bool MarkReplicaBad(Chunk& chunk, ReplicaLocation& replica, bool enqueue);
-
-  // ---- Queueing & graceful degradation machinery ---------------------------
-
-  bool QueueingEnabled() const { return config_.sched.enabled(); }
-  DeviceQueue* Queue(uint32_t device_index) {
-    return devices_[device_index].device->queue();
-  }
-  // Admission fan-out for one foreground chunk write: every device the
-  // fan-out will touch must admit, or the whole op sheds (avoids partial
-  // replica staleness). `*extra_ns` receives the parallel admission
-  // overhead — max over target devices of wait + shed-retry backoff.
-  bool AdmitForegroundWrite(const Chunk& chunk, uint64_t* extra_ns);
-  // Feeds the brownout controller; no-op when brownout is off.
-  void RecordForegroundLatency(uint64_t latency_ns);
-
-  // ---- Robustness machinery ----------------------------------------------
-
-  // True while `device_index`'s node is under an injected outage.
-  bool NodeOut(uint32_t device_index) const {
-    return outage_node_ >= 0 &&
-           node_of_device(device_index) == static_cast<uint32_t>(outage_node_);
-  }
-  // Diffs device-reported mDisk state against cluster bookkeeping and
-  // repairs discrepancies (missed kCreated/kDraining/kDecommissioned, lost
-  // AckDrain). Returns the number of repairs; also counts them in stats.
-  uint64_t ResyncDevice(uint32_t device_index);
-  // Ticks open suspect windows: resolves devices that returned, declares
-  // losses for windows that expired. Runs first in every maintenance tick.
-  void UpdateSuspectWindows();
-  // A suspect device restarted within its window: drain its re-announcement
-  // events, then reconcile every replica the cluster still records there —
-  // fresh (generation matches and no LBA rolled back) replicas stay, stale
-  // ones are pruned and re-replicated.
-  void ResolveSuspect(uint32_t device_index);
-  // ResyncDevice over every reachable device.
-  void ReconcileAll();
-  // Outage lottery / rejoin countdown + ReconcileAll + parked-recovery
-  // retry; runs every resync_interval_ops foreground ops.
-  void MaintenanceTick();
-  void MaybeRunMaintenance();
-  // Effective tick interval: resync_interval_ops, or the auto default (256)
-  // when 0. Dormancy is decided separately by MaintenanceDormant().
-  uint64_t MaintenanceIntervalOps() const;
-  // Delivers AckDrain to the device, subject to injected ack loss, node
-  // outage, and transient retry. True when the device accepted the ack.
-  bool SendAckDrain(uint32_t device_index, MinidiskId mdisk);
-
-  static StatusCode ResultCode(const Status& status) { return status.code(); }
-  template <typename T>
-  static StatusCode ResultCode(const StatusOr<T>& result) {
-    return result.status().code();
-  }
-  // Runs `op`, retrying kUnavailable up to max_transient_retries times with
-  // exponential (simulated-time) backoff.
-  template <typename Op>
-  auto WithTransientRetry(Op op) -> decltype(op()) {
-    auto result = op();
-    for (uint32_t retry = 0;
-         ResultCode(result) == StatusCode::kUnavailable &&
-         retry < config_.max_transient_retries;
-         ++retry) {
-      ++stats_.transient_retries;
-      // Retry r waits base << r, with the shift capped (saturating) so high
-      // max_transient_retries configs cannot wrap the accumulated backoff.
-      stats_.backoff_ns +=
-          CappedBackoffNs(config_.transient_backoff_base_ns, retry,
-                          config_.transient_backoff_max_shift);
-      result = op();
-    }
-    if (ResultCode(result) == StatusCode::kUnavailable) {
-      ++stats_.transient_giveups;
-    }
-    return result;
-  }
-
   DifsConfig config_;
-  Rng rng_;
-  ChecksumCodec codec_;
+  DifsStats stats_;
+  std::vector<Chunk> chunks_;
   // Scrub position: major = chunk id, minor = replica * chunk_opages +
   // offset (flattened so the two-level cursor covers all three axes).
   ScrubCursor scrub_cursor_;
-  std::vector<DeviceState> devices_;
-  std::vector<Chunk> chunks_;
-  std::deque<ChunkId> pending_recoveries_;
-  // Chunks whose recovery found no eligible target; retried only when the
-  // cluster's placement capacity changes (new mDisks, replica losses), not
-  // on every foreground operation.
-  std::vector<ChunkId> waiting_capacity_;
-  DifsStats stats_;
-  uint64_t initial_capacity_bytes_ = 0;
-  bool bootstrapped_ = false;
-  // Injected node outage: at most one node is out at a time.
-  int32_t outage_node_ = -1;
-  uint32_t outage_ticks_left_ = 0;
-  uint64_t ops_since_maintenance_ = 0;
-  uint64_t trace_time_us_ = 0;  // stamp for emitted trace events
-  // ---- Queueing & graceful degradation state ----
-  uint64_t sched_clock_ns_ = 0;  // simulated arrival clock (queueing only)
-  std::unique_ptr<BrownoutController> brownout_;
-  // ForceReconcile overrides the brownout recovery deferral: tests and soaks
-  // use it to assert convergence, so it must always drain.
-  bool reconcile_override_ = false;
 };
 
 }  // namespace salamander

@@ -17,79 +17,36 @@
 #define SALAMANDER_DIFS_EC_CLUSTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/status.h"
-#include "core/minidisk.h"
-#include "difs/placement.h"
-#include "faults/fault_injector.h"
-#include "integrity/checksum.h"
-#include "sched/queueing.h"
-#include "ssd/ssd_device.h"
-#include "telemetry/metrics.h"
+#include "difs/cluster_core.h"
 
 namespace salamander {
 
 using StripeId = uint64_t;
 
-struct EcConfig {
-  uint32_t nodes = 9;
-  uint32_t devices_per_node = 1;
+struct EcConfig : ClusterConfig {
+  // RS(k + m) spreads k+m cells over distinct nodes: the default RS(4+2)
+  // layout needs more nodes than replication's default.
+  EcConfig() { nodes = 9; }
+
   // RS(k + m): tolerate any m cell losses per stripe.
   uint32_t data_cells = 4;    // k
   uint32_t parity_cells = 2;  // m
   // Cell size in oPages; Salamander devices set mSize equal to this.
   uint64_t cell_opages = 64;
-  // Fraction of initial cluster slots to fill with stripe cells.
-  double fill_fraction = 0.6;
-  uint64_t seed = 1;
-
-  // Cluster-level chaos injector (node outages, lost AckDrains) — distinct
-  // from the per-device injectors; nullptr disables. Same contract as
-  // DifsConfig::faults.
-  std::shared_ptr<FaultInjector> faults;
-  // Every this many foreground ops: outage lottery/rejoin + lost-ack resend.
-  // 0 = automatic (256 when any injector is attached, dormant otherwise, so
-  // the fault-free RNG schedule is untouched).
-  uint64_t maintenance_interval_ops = 0;
-  // Grace window for transiently dark devices (power loss), in maintenance
-  // ticks. While a device is suspect the cluster neither declares its cells
-  // lost nor queues rebuilds; if it restarts within the window its cells are
-  // reconciled (fresh ones revived, stale ones rebuilt), otherwise the
-  // window expires into the ordinary loss path. 0 — the default — disables
-  // the window entirely: a dark device is treated like a brick immediately,
-  // which preserves the legacy behavior bit for bit. Same contract as
-  // DifsConfig::suspect_grace_ticks.
-  uint32_t suspect_grace_ticks = 0;
-
-  // Per-device service queues, admission control, hedged reads, and the
-  // brownout SLO guard (ISSUE 9). sched.queue_depth == 0 (default) disables
-  // the whole layer: no queues, no extra RNG streams, byte-identical
-  // outputs. Same contract as DifsConfig::sched.
-  SchedConfig sched;
-
-  // ---- Failure domains, placement & proactive drain (ISSUE 10; same
-  // contracts as the DifsConfig fields of the same names) -------------------
-  // Nodes per rack / power domain (rack = node / nodes_per_rack); 0 or 1
-  // keeps every node its own rack.
-  uint32_t nodes_per_rack = 0;
-  // Pluggable placement policy; nullptr (default) and UniformPlacement both
-  // replay the legacy draw sequence bit-for-bit.
-  std::shared_ptr<PlacementPolicy> placement;
-  // Drain the budgeted rebuild batch in criticality order (fewest live
-  // cells first, ties by stripe id) instead of FIFO.
-  bool criticality_ordered_recovery = false;
-  // Proactive health-driven drain threshold; 0 disables the scan.
-  double drain_health_threshold = 0.0;
-  double drain_pec_horizon = 0.25;
 };
 
-struct EcStats {
+// Rejects configs EcCluster cannot run: k >= 1, m >= 1, k + m <= 255 (the
+// packed slot ref's 8-bit cell field), nodes >= k + m, cell_opages >= 1, and
+// a valid sched config. The constructor aborts on an invalid config in every
+// build mode.
+Status ValidateEcConfig(const EcConfig& config);
+
+struct EcStats : ClusterStats {
   uint64_t foreground_logical_writes = 0;  // logical oPage updates
   uint64_t foreground_device_writes = 0;   // data + parity device writes
   uint64_t rebuild_opage_reads = 0;        // k-way reconstruction reads
@@ -100,97 +57,35 @@ struct EcStats {
   uint64_t stripes_lost = 0;               // > m concurrent cell losses
   uint64_t rebuild_deferred = 0;
 
-  // ---- Chaos parity with DifsStats ----------------------------------------
-  uint64_t drains_started = 0;   // kDraining events observed
-  uint64_t drains_acked = 0;     // drains answered with AckDrain
-  uint64_t acks_lost = 0;        // AckDrains that never reached a device
-  uint64_t node_outages = 0;     // injected outages started
-  uint64_t outage_write_skips = 0;  // cell writes skipped, node out
-  uint64_t maintenance_ticks = 0;
-
-  // ---- End-to-end integrity (same contract as DifsStats) ------------------
-  uint64_t integrity_detected = 0;     // corrupt fpage reads observed
-  uint64_t integrity_marked_bad = 0;   // cells retired for corruption
   uint64_t integrity_retained_cells = 0;  // corrupt cell kept: stripe at k
 
-  // ---- Suspect windows (transient power loss; same contract as DifsStats) -
-  uint64_t suspect_windows_started = 0;
-  uint64_t suspect_windows_expired = 0;   // grace ran out: treated as brick
-  uint64_t suspect_devices_returned = 0;  // restarted within the window
   uint64_t suspect_cells_revived = 0;     // survived the power loss intact
   uint64_t suspect_cells_stale = 0;       // missed/lost writes: rebuilt
 
-  // ---- Queueing & graceful degradation (ISSUE 9; same contract as
-  // DifsStats' sched block — all identically zero while disabled) ----------
-  uint64_t sched_read_sheds = 0;       // foreground reads refused admission
-  uint64_t sched_write_sheds = 0;      // logical writes shed whole
   uint64_t sched_rebuild_sheds = 0;    // rebuild attempts refused admission
-  uint64_t sched_wait_ns = 0;          // queue wait folded into op costs
-  uint64_t sched_hedged_reads = 0;     // modeled reconstruction hedges fired
-  uint64_t sched_hedge_wins = 0;       // hedge completed before the primary
   uint64_t brownout_rebuild_deferrals = 0;  // rebuild waves parked under SLO
 
-  // ---- Failure domains, placement & proactive drain (ISSUE 10; same
-  // contract as the DifsStats block of the same names) ----------------------
-  uint64_t placement_domain_rejections = 0;
-  uint64_t placement_domain_fallbacks = 0;
-  uint64_t drain_devices_flagged = 0;
-  uint64_t drain_devices_completed = 0;
   uint64_t drain_cells_migrated = 0;   // cells moved off ahead of failure
-  uint64_t drain_opage_reads = 0;
-  uint64_t drain_opage_writes = 0;
-  uint64_t drain_migrations_parked = 0;
-  uint64_t drain_brownout_deferrals = 0;
-  // Sub-count of sched_rebuild_sheds (drain I/O rides OpClass::kRecovery).
-  uint64_t drain_sched_sheds = 0;
 
   uint64_t rebuild_read_bytes() const { return rebuild_opage_reads * 4096; }
   uint64_t rebuild_write_bytes() const { return rebuild_opage_writes * 4096; }
 };
 
-// One cell's placement. `cell` is the stable index within the stripe
-// (0..k-1 data, k..k+m-1 parity).
-struct CellLocation {
-  uint32_t cell = 0;
-  uint32_t device = 0;
-  MinidiskId mdisk = 0;
-  uint32_t slot = 0;
-  bool live = false;
-  // Stripe generation of the last write that durably landed on this cell
-  // (the PR-4 stamp). Cells the update stream never targeted keep an older
-  // generation and are still fresh — see EcCluster suspect reconciliation.
-  uint64_t generation = 0;
-  // True when the most recent write targeting this cell did not land (node
-  // outage skip, dark device): the on-flash bytes lag the stripe's
-  // checksum generation.
-  bool stale = false;
-};
+// One cell's placement; `cell` is the stable index within the stripe and
+// `stale` marks a cell whose most recent targeted write did not land.
+using CellLocation = SlotLocation;
 
-struct Stripe {
-  StripeId id = 0;
+struct Stripe : UnitRecord {
   std::vector<CellLocation> cells;  // indexed by cell number, stable
-  bool lost = false;
-  // End-to-end integrity metadata (see Chunk::checksum).
-  uint64_t checksum = 0;
-  uint64_t generation = 0;
 
-  uint32_t live_cells() const {
-    uint32_t n = 0;
-    for (const CellLocation& cell : cells) {
-      n += cell.live ? 1 : 0;
-    }
-    return n;
-  }
+  uint32_t live_cells() const { return ReadableMembers(cells); }
 };
 
-class EcCluster {
+class EcCluster : public ClusterCore {
  public:
   EcCluster(const EcConfig& config,
             const std::function<std::unique_ptr<SsdDevice>(uint32_t)>&
                 device_factory);
-
-  // Places stripes (k+m node-disjoint cells each) and writes every LBA.
-  Status Bootstrap();
 
   // Issues `logical_writes` random logical oPage updates; each writes its
   // data cell and all m parity cells (the EC read-modify-write).
@@ -223,56 +118,13 @@ class EcCluster {
     return stripes_.size() * config_.data_cells * config_.cell_opages;
   }
 
-  void ProcessEvents();
-
-  // Lost-ack resend + outage expiry + rebuild retry, driven to quiescence.
-  // Chaos tests call this after a fault burst to assert convergence.
-  void ForceReconcile();
-
   const EcStats& stats() const { return stats_; }
-  // Node currently unreachable due to an injected outage, or -1.
-  int32_t outage_node() const { return outage_node_; }
-
-  // ---- Tick scheduling (discrete-event drivers) ---------------------------
-  // Same contract as DifsCluster: when the next maintenance tick is due, so
-  // an event-driven harness can jump instead of polling per op.
-
-  // True when maintenance can never fire (auto interval, no injector).
-  bool MaintenanceDormant() const;
-  // Foreground ops until the next tick fires (>= 1); UINT64_MAX when dormant.
-  uint64_t OpsUntilMaintenanceTick() const;
   uint64_t total_stripes() const { return stripes_.size(); }
   uint64_t stripes_fully_redundant() const;
   uint64_t stripes_degraded() const;
-  uint32_t alive_devices() const;
   const Stripe& stripe(StripeId id) const { return stripes_[id]; }
-  uint32_t node_of_device(uint32_t device) const {
-    return device / config_.devices_per_node;
-  }
-  // Failure-domain topology: consecutive nodes share a rack.
-  uint32_t rack_of_node(uint32_t node) const {
-    return node / (config_.nodes_per_rack == 0 ? 1 : config_.nodes_per_rack);
-  }
-  uint32_t rack_of_device(uint32_t device) const {
-    return rack_of_node(node_of_device(device));
-  }
-  uint64_t free_slots() const;
-  SsdDevice& device(uint32_t index) { return *devices_[index].device; }
-  uint32_t device_count() const {
-    return static_cast<uint32_t>(devices_.size());
-  }
 
-  // ---- Queueing introspection (ISSUE 9) -----------------------------------
-  // Simulated arrival clock; 0 while the layer is disabled.
-  uint64_t sched_clock_ns() const { return sched_clock_ns_; }
-  // The device's service queue, or nullptr while the layer is disabled.
-  const DeviceQueue* device_queue(uint32_t index) const {
-    return devices_[index].device->queue();
-  }
-  // The SLO guard, or nullptr unless sched.slo_p99_ns > 0.
-  const BrownoutController* brownout() const { return brownout_.get(); }
-
-  // Scrapes EcStats with difs.*-parity names ("<prefix>ec.*"), replication-
+  // Scrapes EcStats with difs.*-parity names ("<prefix>ec.*"), redundancy-
   // health gauges, and every device's "<prefix>ssd.*" subtree. Cluster-level
   // injected faults land under "<prefix>cluster_faults.". Additive — collect
   // once per cluster (see telemetry/collect.h).
@@ -280,53 +132,38 @@ class EcCluster {
                       const std::string& prefix = "") const;
 
  private:
-  static constexpr int64_t kFreeSlot = -1;
-
-  struct DeviceState {
-    std::unique_ptr<SsdDevice> device;
-    uint32_t slots_per_mdisk = 0;
-    // slot -> packed (stripe, cell) or kFreeSlot.
-    std::unordered_map<MinidiskId, std::vector<int64_t>> slots;
-    uint64_t free_slot_count = 0;
-    // Last FTL silent-corruption count reconciled into integrity_detected.
-    uint64_t observed_silent_corrupt = 0;
-    // Last SsdDevice::dropped_events() value reconciled; a delta means the
-    // event queue overflowed (e.g. a brick under a full queue) and the slot
-    // map must resync against ground truth (see ApplyDeviceEvents).
-    uint64_t observed_dropped_events = 0;
-    // ---- Suspect window (transient power loss) ----------------------------
-    bool suspect = false;            // inside a grace window right now
-    uint32_t suspect_ticks_left = 0;
-    bool down_handled = false;       // window expired: losses declared
-    // ---- Proactive health-driven drain (same contract as DifsCluster) -----
-    bool health_draining = false;    // flagged: evacuating, no new placements
-    bool health_drain_done = false;  // evacuation completed (counted once)
-  };
-
-  static int64_t PackRef(StripeId stripe, uint32_t cell) {
-    return static_cast<int64_t>((stripe << 8) | cell);
+  // ---- Scheme hooks (see ClusterCore) --------------------------------------
+  const ClusterConfig& cfg() const override { return config_; }
+  ClusterStats& core_stats() override { return stats_; }
+  SchemeCounters counters() override;
+  uint64_t unit_count() const override { return stripes_.size(); }
+  UnitRecord& unit(UnitId id) override { return stripes_[id]; }
+  std::vector<SlotLocation>& members(UnitId id) override {
+    return stripes_[id].cells;
   }
-  static StripeId RefStripe(int64_t ref) {
-    return static_cast<StripeId>(ref) >> 8;
+  void ReserveUnits(uint64_t count) override { stripes_.reserve(count); }
+  void AddUnit(std::vector<SlotLocation> placed) override;
+  StatusOr<SimDuration> WriteMember(SlotLocation& member,
+                                    uint64_t offset) override {
+    return WriteCell(member, offset);
   }
-  static uint32_t RefCell(int64_t ref) {
-    return static_cast<uint32_t>(ref & 0xff);
+  bool RestoreOne(UnitId id) override { return RebuildOneCell(id); }
+  // EC forgoes replication's grace window: parity can reconstruct any cell,
+  // so a draining mDisk is retired immediately (its cells lost and queued
+  // for rebuild, exactly as a decommission) and the drain is acked at once.
+  void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
+  // A cell is fresh iff its most recent targeted write landed (not stale);
+  // cells the update stream never targeted keep an older generation and are
+  // still fresh.
+  bool MemberFresh(const UnitRecord& /*unit*/,
+                   const SlotLocation& member) const override {
+    return !member.stale;
   }
 
-  size_t ApplyDeviceEvents(uint32_t device_index);
-  void HandleMdiskLoss(uint32_t device_index, MinidiskId mdisk);
-  void HandleMdiskCreated(uint32_t device_index, MinidiskId mdisk);
-  void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk);
-  uint64_t DrainPendingRebuilds();
+  // Reconstructs one missing cell of `stripe_id` from k live cells.
   bool RebuildOneCell(StripeId stripe_id);
-  bool PickTarget(const std::vector<uint32_t>& exclude_nodes,
-                  uint32_t* device_out, MinidiskId* mdisk_out,
-                  uint32_t* slot_out);
-  // ---- Proactive health-driven drain (ISSUE 10; same contract as
-  // DifsCluster::ProactiveDrainTick / MigrateReplicaOff) --------------------
-  void ProactiveDrainTick();
-  bool MigrateCellOff(Stripe& stripe, CellLocation& cell);
-  // Writes one cell oPage; on success returns the device write latency.
+  // Writes one cell oPage (no transient retry); on success returns the
+  // device write latency and counts a foreground device write.
   StatusOr<SimDuration> WriteCell(CellLocation& cell, uint64_t offset);
   // Shared body of StepWrites and WriteLogicalAt: stamps the new stripe
   // generation and writes the data cell plus all parity cells. kDataLoss
@@ -338,75 +175,9 @@ class EcCluster {
   Status ReadLogicalBody(Stripe& stripe, uint32_t data_cell, uint64_t offset,
                          SimDuration* cost_ns);
 
-  // ---- Chaos & integrity machinery ----------------------------------------
-
-  bool NodeOut(uint32_t device_index) const {
-    return outage_node_ >= 0 &&
-           node_of_device(device_index) == static_cast<uint32_t>(outage_node_);
-  }
-  // Delivers AckDrain, subject to injected ack loss and node outage; a lost
-  // ack leaves the mDisk in kDraining limbo until maintenance re-sends it.
-  bool SendAckDrain(uint32_t device_index, MinidiskId mdisk);
-  void MaybeRunMaintenance();
-  void MaintenanceTick();
-  // Effective tick interval: maintenance_interval_ops, or the auto default
-  // (256) when 0. Dormancy is decided separately by MaintenanceDormant().
-  uint64_t MaintenanceIntervalOps() const;
-  // Resyncs cluster slot maps against device ground truth: missed drains and
-  // decommissions, missed kCreated capacity, and kDraining mDisks whose ack
-  // was lost (re-sent here). Skips out-node devices.
-  void ReconcileAll();
-  // Per-device body of ReconcileAll; also the suspect-window interception
-  // point — a transiently dark device with a grace window configured opens
-  // (or keeps) its window here instead of being treated as failed.
-  void ResyncDevice(uint32_t device_index);
-  // Ticks suspect windows: devices that restarted are reconciled via
-  // ResolveSuspect, expired windows fall back to the ordinary loss path.
-  void UpdateSuspectWindows();
-  // A suspect device returned within its window: drain its re-announcements,
-  // revive cells that survived the power loss intact (no missed writes, no
-  // rolled-back LBAs) and retire-and-rebuild the stale ones.
-  void ResolveSuspect(uint32_t device_index);
-  // Folds the device FTL's silent-corruption counter into integrity_detected;
-  // returns the last operation's corrupt fpage reads (see DifsCluster).
-  uint64_t ObserveCorruption(uint32_t device_index);
-  // Retires a corrupt cell and (unless `enqueue` is false — the rebuild loop
-  // already owns the stripe) queues the stripe for rebuild. Refuses when the
-  // stripe is already at its reconstruction floor (k live cells) — dropping
-  // the cell would lose the stripe; counts integrity_retained_cells.
-  bool MarkCellBad(Stripe& stripe, CellLocation& cell, bool enqueue = true);
-
-  // ---- Queueing & graceful degradation machinery (ISSUE 9) ----------------
-  bool QueueingEnabled() const { return config_.sched.enabled(); }
-  DeviceQueue* Queue(uint32_t device_index) {
-    return devices_[device_index].device->queue();
-  }
-  // Admits the write fan-out (data cell + parity cells) at kForegroundWrite
-  // on every target device, all-or-nothing; `extra_ns` receives the max of
-  // the per-device waits (the fan-out is parallel) plus any shed backoff.
-  bool AdmitForegroundWrite(const Stripe& stripe, uint32_t data_cell,
-                            uint64_t* extra_ns);
-  // Feeds the brownout SLO guard (no-op unless configured).
-  void RecordForegroundLatency(uint64_t latency_ns);
-
   EcConfig config_;
-  Rng rng_;
-  ChecksumCodec codec_;
-  std::vector<DeviceState> devices_;
-  std::vector<Stripe> stripes_;
-  std::deque<StripeId> pending_rebuilds_;
-  std::vector<StripeId> waiting_capacity_;
   EcStats stats_;
-  bool bootstrapped_ = false;
-  int32_t outage_node_ = -1;
-  uint32_t outage_ticks_left_ = 0;
-  uint64_t ops_since_maintenance_ = 0;
-  // ---- Queueing state (ISSUE 9; all dormant while sched is disabled) ------
-  uint64_t sched_clock_ns_ = 0;  // advances one arrival_interval per fg op
-  std::unique_ptr<BrownoutController> brownout_;
-  // ForceReconcile must converge even under brownout/admission pressure:
-  // while set, rebuild work bypasses both (chaos tests assert convergence).
-  bool reconcile_override_ = false;
+  std::vector<Stripe> stripes_;
 };
 
 }  // namespace salamander

@@ -339,7 +339,7 @@ TEST(ChaosTest, TransientBackoffSaturatesAtCapBoundary) {
   config.max_transient_retries = 80;  // uncapped, retry 58+ would wrap
   config.transient_backoff_base_ns = 100;
   config.transient_backoff_max_shift = 16;
-  config.resync_interval_ops = 1u << 30;  // keep maintenance out of the delta
+  config.maintenance_interval_ops = 1u << 30;  // keep maintenance out of the delta
   FaultConfig faults;
   faults.transient_unavailable = 1.0;  // every device op stays busy forever
   faults.seed = 13;

@@ -191,7 +191,7 @@ TEST(DifsClusterTest, MaintenanceDormantWithoutInjectors) {
 
 TEST(DifsClusterTest, ExplicitIntervalSchedulesTicks) {
   DifsConfig config = TestConfig();
-  config.resync_interval_ops = 8;
+  config.maintenance_interval_ops = 8;
   DifsCluster cluster(config, Factory(SsdKind::kShrinkS, 1000000));
   ASSERT_TRUE(cluster.Bootstrap().ok());
   EXPECT_FALSE(cluster.MaintenanceDormant());

@@ -87,6 +87,7 @@ TEST(EcChaosTest, NodeOutageSkipsWritesAndRejoins) {
     ASSERT_TRUE(cluster.StepWrites(256).ok());
   }
   cluster.ForceReconcile();
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
   EXPECT_EQ(cluster.stats().stripes_lost, 0u);
 }
 
@@ -105,6 +106,7 @@ TEST(EcChaosTest, CorruptionIsDetectedExactlyAndRebuilt) {
     ASSERT_TRUE(cluster.StepReads(300).ok());
   }
   cluster.ForceReconcile();
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
   const uint64_t injected = InjectedReadCorrupt(cluster);
   EXPECT_GT(injected, 0u);
   EXPECT_EQ(cluster.stats().integrity_detected, injected);
@@ -125,6 +127,7 @@ TEST(EcChaosTest, ReconstructionFloorRetainsCorruptCells) {
   ASSERT_TRUE(cluster.Bootstrap().ok());
   ASSERT_TRUE(cluster.StepReads(600).ok());
   cluster.ForceReconcile();
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
   EXPECT_GT(cluster.stats().integrity_retained_cells, 0u);
   EXPECT_EQ(cluster.stats().stripes_lost, 0u);
   for (StripeId s = 0; s < cluster.total_stripes(); ++s) {
@@ -154,6 +157,7 @@ TEST(EcChaosTest, LostAckDrainIsEventuallyResent) {
   // until no alive device is stuck in drain limbo.
   for (int i = 0; i < 32; ++i) {
     cluster.ForceReconcile();
+    EXPECT_TRUE(cluster.CheckInvariants().ok());
   }
   EXPECT_GT(cluster.stats().drains_acked, 0u);
   for (uint32_t d = 0; d < cluster.device_count(); ++d) {
@@ -219,6 +223,7 @@ TEST(EcChaosTest, RepeatedRunsAreBitIdentical) {
     EXPECT_TRUE(cluster.StepWrites(600).ok());
     EXPECT_TRUE(cluster.StepReads(300).ok());
     cluster.ForceReconcile();
+    EXPECT_TRUE(cluster.CheckInvariants().ok());
     return cluster.stats();
   };
   const EcStats a = run();

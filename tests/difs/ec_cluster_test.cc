@@ -135,6 +135,22 @@ TEST(EcClusterTest, RebuiltStripesStayNodeDisjoint) {
   }
 }
 
+// The core's invariant check covers EC too: slot maps and cell records agree
+// in both directions, free-slot counts match, live cells stay node-disjoint,
+// and every stripe is lost exactly when it fell below k live cells — before
+// aging, through rebuild waves, and after a forced reconcile.
+TEST(EcClusterTest, InvariantsHoldThroughRebuildAndReconcile) {
+  EcCluster cluster(TestConfig(/*nodes=*/8), Factory(/*nominal_pec=*/25));
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
+  AgeCluster(cluster, 5, 400000);
+  ASSERT_GT(cluster.stats().cells_rebuilt, 0u);
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
+  cluster.ForceReconcile();
+  const Status invariants = cluster.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants;
+}
+
 TEST(EcClusterTest, DeterministicForSameSeed) {
   auto run = [] {
     EcCluster cluster(TestConfig(/*nodes=*/8), Factory(25));

@@ -243,6 +243,55 @@ TEST(PlacementDeterminismTest, ProactiveDrainMigratesAndAccountsSeparately) {
   EXPECT_EQ(recovery_writes->value(), stats.recovery_opage_writes);
 }
 
+// The drain threshold alone must wake EC maintenance, exactly as it does for
+// replication: with no injector attached anywhere, a dormant maintenance path
+// would never score device health and the fast-wearing devices would die with
+// their cells still on them.
+TEST(PlacementDeterminismTest, EcProactiveDrainRunsWithoutInjector) {
+  EcConfig config;
+  config.nodes = 6;
+  config.devices_per_node = 1;
+  config.data_cells = 2;
+  config.parity_cells = 2;
+  config.cell_opages = 16;
+  config.fill_fraction = 0.4;
+  config.seed = 20260807;
+  config.nodes_per_rack = 2;
+  config.placement = MakeDomainSpreadPlacement(2);
+  config.drain_health_threshold = 0.6;
+  EcCluster cluster(config, Factory(606, /*nominal_pec=*/12));
+  ASSERT_TRUE(cluster.Bootstrap().ok());
+  EXPECT_FALSE(cluster.MaintenanceDormant());
+  for (int round = 0; round < 400; ++round) {
+    (void)cluster.StepWrites(128);
+    cluster.ForceReconcile();
+    if (cluster.stats().drain_devices_flagged > 0 &&
+        cluster.stats().drain_cells_migrated > 0) {
+      break;
+    }
+  }
+  const EcStats& stats = cluster.stats();
+  ASSERT_GT(stats.drain_devices_flagged, 0u) << "threshold never crossed";
+  EXPECT_GT(stats.drain_cells_migrated, 0u);
+  MetricRegistry registry;
+  cluster.CollectMetrics(registry);
+  const std::pair<const char*, uint64_t> exported[] = {
+      {"ec.drain.devices_flagged", stats.drain_devices_flagged},
+      {"ec.drain.devices_completed", stats.drain_devices_completed},
+      {"ec.drain.cells_migrated", stats.drain_cells_migrated},
+      {"ec.drain.opage_reads", stats.drain_opage_reads},
+      {"ec.drain.opage_writes", stats.drain_opage_writes},
+      {"ec.drain.migrations_parked", stats.drain_migrations_parked},
+      {"ec.drain.brownout_deferrals", stats.drain_brownout_deferrals},
+      {"ec.drain.sched_sheds", stats.drain_sched_sheds},
+  };
+  for (const auto& [name, value] : exported) {
+    const Counter* counter = registry.FindCounter(name);
+    ASSERT_NE(counter, nullptr) << name;
+    EXPECT_EQ(counter->value(), value) << name;
+  }
+}
+
 TEST(PlacementDeterminismTest, EcDomainSpreadNeverColocatesCellsInOneRack) {
   EcConfig config;
   config.nodes = 8;

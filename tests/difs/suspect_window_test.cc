@@ -59,7 +59,7 @@ DifsConfig TestDifsConfig(uint64_t grace_ticks) {
   config.chunk_opages = 64;
   config.fill_fraction = 0.5;
   config.seed = 20260805;
-  config.resync_interval_ops = 8;  // one maintenance tick per 8 writes
+  config.maintenance_interval_ops = 8;  // one maintenance tick per 8 writes
   config.suspect_grace_ticks = grace_ticks;
   return config;
 }

@@ -21,6 +21,22 @@ struct InvariantCase {
   EccPlacement placement;
 };
 
+// gtest prints each parameter as raw bytes, starting with the address of
+// its name, and that print is part of the test's full name. The names live
+// in one 256-byte-aligned block so the printed addresses depend only on
+// this table, not on where the linker puts the rest of the binary's string
+// literals.
+struct alignas(256) CaseNames {
+  char wearing_regens[sizeof("wearing_regens")] = "wearing_regens";
+  char regens_l2[sizeof("regens_l2")] = "regens_l2";
+  char regens_dedicated[sizeof("regens_dedicated")] = "regens_dedicated";
+  char healthy_shrinks[sizeof("healthy_shrinks")] = "healthy_shrinks";
+  char wearing_shrinks[sizeof("wearing_shrinks")] = "wearing_shrinks";
+  char block_worst[sizeof("block_worst")] = "block_worst";
+  char block_average[sizeof("block_average")] = "block_average";
+};
+constexpr CaseNames kCaseNames;
+
 class FtlInvariantsTest : public ::testing::TestWithParam<InvariantCase> {};
 
 TEST_P(FtlInvariantsTest, AccountingConsistentUnderChurn) {
@@ -59,20 +75,20 @@ TEST_P(FtlInvariantsTest, AccountingConsistentUnderChurn) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, FtlInvariantsTest,
     ::testing::Values(
-        InvariantCase{"healthy_shrinks", 1000000, 0,
+        InvariantCase{kCaseNames.healthy_shrinks, 1000000, 0,
                       RetirementGranularity::kPage, EccPlacement::kInline},
-        InvariantCase{"wearing_shrinks", 25, 0, RetirementGranularity::kPage,
-                      EccPlacement::kInline},
-        InvariantCase{"wearing_regens", 25, 1, RetirementGranularity::kPage,
-                      EccPlacement::kInline},
-        InvariantCase{"regens_l2", 25, 2, RetirementGranularity::kPage,
-                      EccPlacement::kInline},
-        InvariantCase{"regens_dedicated", 25, 1,
+        InvariantCase{kCaseNames.wearing_shrinks, 25, 0,
+                      RetirementGranularity::kPage, EccPlacement::kInline},
+        InvariantCase{kCaseNames.wearing_regens, 25, 1,
+                      RetirementGranularity::kPage, EccPlacement::kInline},
+        InvariantCase{kCaseNames.regens_l2, 25, 2,
+                      RetirementGranularity::kPage, EccPlacement::kInline},
+        InvariantCase{kCaseNames.regens_dedicated, 25, 1,
                       RetirementGranularity::kPage, EccPlacement::kDedicated},
-        InvariantCase{"block_worst", 25, 0,
+        InvariantCase{kCaseNames.block_worst, 25, 0,
                       RetirementGranularity::kBlockWorstPage,
                       EccPlacement::kInline},
-        InvariantCase{"block_average", 25, 0,
+        InvariantCase{kCaseNames.block_average, 25, 0,
                       RetirementGranularity::kBlockAverage,
                       EccPlacement::kInline}),
     [](const ::testing::TestParamInfo<InvariantCase>& param_info) {
