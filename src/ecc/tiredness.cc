@@ -1,6 +1,27 @@
 #include "ecc/tiredness.h"
 
+#include <bit>
+#include <map>
+#include <mutex>
+#include <tuple>
+
 namespace salamander {
+
+namespace {
+
+// Every input bit of FPageEccGeometry; the double by its exact bit pattern,
+// so two geometries share a ladder only if every level would compute
+// bit-identically.
+using LadderKey =
+    std::tuple<uint32_t, uint32_t, uint32_t, uint32_t, unsigned, uint64_t>;
+
+LadderKey KeyOf(const FPageEccGeometry& geometry) {
+  return {geometry.opage_bytes, geometry.opages_per_fpage,
+          geometry.spare_bytes, geometry.stripes_per_opage, geometry.gf_m,
+          std::bit_cast<uint64_t>(geometry.stripe_fail_target)};
+}
+
+}  // namespace
 
 TirednessLevelEcc ComputeTirednessLevel(const FPageEccGeometry& geometry,
                                         unsigned level) {
@@ -40,12 +61,24 @@ TirednessLevelEcc ComputeTirednessLevel(const FPageEccGeometry& geometry,
 
 std::vector<TirednessLevelEcc> ComputeTirednessLadder(
     const FPageEccGeometry& geometry) {
-  std::vector<TirednessLevelEcc> ladder;
-  ladder.reserve(geometry.opages_per_fpage + 1);
-  for (unsigned level = 0; level <= geometry.opages_per_fpage; ++level) {
-    ladder.push_back(ComputeTirednessLevel(geometry, level));
+  // Each level bisects MaxTolerableRber over a long binomial tail (about
+  // 2 ms per ladder), and every FTL asks for the ladder of its geometry, so
+  // a fleet of identical devices would recompute the same numbers per
+  // device. The ladder is a pure function of the geometry: compute it once
+  // per geometry per process. Computing under the lock keeps concurrent
+  // first calls from duplicating the work; every caller gets a copy of the
+  // same values.
+  static std::mutex mu;
+  static std::map<LadderKey, std::vector<TirednessLevelEcc>> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto [it, inserted] = cache.try_emplace(KeyOf(geometry));
+  if (inserted) {
+    it->second.reserve(geometry.opages_per_fpage + 1);
+    for (unsigned level = 0; level <= geometry.opages_per_fpage; ++level) {
+      it->second.push_back(ComputeTirednessLevel(geometry, level));
+    }
   }
-  return ladder;
+  return it->second;
 }
 
 }  // namespace salamander

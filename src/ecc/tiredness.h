@@ -46,7 +46,10 @@ struct TirednessLevelEcc {
 TirednessLevelEcc ComputeTirednessLevel(const FPageEccGeometry& geometry,
                                         unsigned level);
 
-// Profiles for all levels 0..opages_per_fpage, indexed by level.
+// Profiles for all levels 0..opages_per_fpage, indexed by level. Memoized:
+// computed once per distinct geometry (keyed on every field, the double by
+// its exact bits) per process, behind a mutex, so it is safe to call from
+// any thread and costs one map lookup after the first call.
 std::vector<TirednessLevelEcc> ComputeTirednessLadder(
     const FPageEccGeometry& geometry);
 

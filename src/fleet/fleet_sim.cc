@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -9,7 +11,62 @@
 
 namespace salamander {
 
+namespace {
+
+// NaN fails both comparisons, so it is rejected too.
+bool InUnitInterval(double p) { return p >= 0.0 && p <= 1.0; }
+
+}  // namespace
+
+Status ValidateFleetConfig(const FleetConfig& config) {
+  if (config.days < 1) {
+    return InvalidArgumentError("days must be >= 1");
+  }
+  if (config.sample_every_days < 1) {
+    return InvalidArgumentError("sample_every_days must be >= 1");
+  }
+  if (!InUnitInterval(config.afr)) {
+    return InvalidArgumentError("afr must be in [0, 1]");
+  }
+  if (!InUnitInterval(config.power_loss_per_device_day)) {
+    return InvalidArgumentError("power_loss_per_device_day must be in [0, 1]");
+  }
+  if (!InUnitInterval(config.domain.rack_power_loss_per_day)) {
+    return InvalidArgumentError(
+        "domain.rack_power_loss_per_day must be in [0, 1]");
+  }
+  if (!InUnitInterval(config.domain.cohort_unavailable_per_day)) {
+    return InvalidArgumentError(
+        "domain.cohort_unavailable_per_day must be in [0, 1]");
+  }
+  if (!(config.dwpd >= 0.0)) {
+    return InvalidArgumentError("dwpd must be >= 0");
+  }
+  if (!(config.dwpd_sigma >= 0.0)) {
+    return InvalidArgumentError("dwpd_sigma must be >= 0");
+  }
+  return OkStatus();
+}
+
+double DevicePowerLossPerDay(const FleetConfig& config) {
+  if (config.power_loss_per_device_day > 0.0) {
+    return config.power_loss_per_device_day;
+  }
+  return config.inject_device_faults ? config.device_faults.power_loss : 0.0;
+}
+
+bool FleetPowerLossPossible(const FleetConfig& config) {
+  return config.domain.rack_events_enabled() ||
+         DevicePowerLossPerDay(config) > 0.0;
+}
+
 FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
+  const Status valid = ValidateFleetConfig(config_);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "FleetSim: invalid config: %s\n",
+                 valid.message().c_str());
+    std::abort();
+  }
   // Domain-event calendar first. Each domain feature owns a dedicated RNG
   // root (never the fleet root below), forked per rack / per cohort in id
   // order, so schedules depend only on (seed, feature, rack-or-cohort id) —
@@ -59,6 +116,8 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
   // on (seed, device index) — never on how other devices consume randomness
   // or on the order in which devices are later stepped.
   Rng fleet_rng(config_.seed ^ 0xf1ee7f1ee7f1ee70ULL);
+  const double device_power_loss = DevicePowerLossPerDay(config_);
+  const bool journaled = FleetPowerLossPossible(config_);
   slots_.reserve(config_.devices);
   for (uint32_t i = 0; i < config_.devices; ++i) {
     DeviceSlot slot;
@@ -83,15 +142,13 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
       ssd_config.minidisk.msize_opages = config_.msize_opages;
     }
     ssd_config.ftl.l2p_cache_entries = config_.l2p_cache_entries;
-    if (config_.inject_device_faults ||
-        config_.power_loss_per_device_day > 0.0) {
+    ssd_config.ftl.journaled = journaled;
+    if (config_.inject_device_faults || device_power_loss > 0.0) {
       // Power loss rides the per-device injector so its draws follow the
       // fork-in-id-order discipline; with only power loss requested the
       // other sites keep probability 0 and therefore draw nothing.
       FaultConfig faults = config_.device_faults;
-      if (config_.power_loss_per_device_day > 0.0) {
-        faults.power_loss = config_.power_loss_per_device_day;
-      }
+      faults.power_loss = device_power_loss;
       slot.faults = std::make_shared<FaultInjector>(faults, i);
       ssd_config.faults = slot.faults;
     }
@@ -199,7 +256,9 @@ void FleetSim::StepDevice(DeviceSlot& slot, uint32_t day,
       if (slot.rack_event_cursor < days.size() &&
           days[slot.rack_event_cursor] == day) {
         // Rack power pulled: every device in the rack crashes this same
-        // simulated day and stays dark until rack power is restored.
+        // simulated day and stays dark until rack power is restored. The
+        // calendar exists only when rack events are enabled — one arm of
+        // FleetPowerLossPossible, so this device's FTL is journaled.
         ++slot.rack_event_cursor;
         slot.device->Crash(SsdDevice::CrashKind::kPowerLoss);
         slot.dark = true;
@@ -237,8 +296,10 @@ void FleetSim::StepDevice(DeviceSlot& slot, uint32_t day,
     return;
   }
   if (slot.faults != nullptr && slot.faults->LosesPower()) {
-    // Rack power pulled: the device goes dark silently for `restart_days`;
-    // the rest of this day (writes, scrub) is lost to the outage.
+    // Power pulled: the device goes dark silently for `restart_days`; the
+    // rest of this day (writes, scrub) is lost to the outage. The injector
+    // draws only at DevicePowerLossPerDay > 0 — the other arm of
+    // FleetPowerLossPossible, so this device's FTL is journaled.
     slot.device->Crash(SsdDevice::CrashKind::kPowerLoss);
     slot.dark = true;
     slot.dark_until_day = day + restart_days;
@@ -488,12 +549,11 @@ std::vector<FleetSnapshot> FleetSim::RunEventDriven() {
   const FleetDomainSchedule* schedule =
       config_.domain.enabled() ? &domain_schedule_ : nullptr;
   const bool telemetry = telemetry_attached();
-  const uint32_t sample_every = std::max(1u, config_.sample_every_days);
+  const uint32_t sample_every = config_.sample_every_days;
   if (slots_.empty()) {
-    // Degenerate fleet: lockstep's day-1 pass sees alive == 0 immediately.
-    if (config_.days >= 1) {
-      snapshots_.push_back(Sample(1));
-    }
+    // Degenerate fleet: lockstep's day-1 pass sees alive == 0 immediately
+    // (days >= 1 is validated at construction).
+    snapshots_.push_back(Sample(1));
     if (config_.metrics != nullptr) {
       CollectMetrics(*config_.metrics);
     }

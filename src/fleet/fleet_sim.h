@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "faults/fault_injector.h"
 #include "fleet/event_scheduler.h"
 #include "integrity/scrub_cursor.h"
@@ -251,6 +252,27 @@ struct FleetConfig {
   TraceRecorder* trace = nullptr;
   uint32_t trace_tid = 0;
 };
+
+// Rejects a FleetConfig the simulator cannot run: `days` and
+// `sample_every_days` below 1; `afr`, `power_loss_per_device_day` or a
+// domain per-day rate (rack power loss, cohort unavailability) outside
+// [0, 1]; a negative `dwpd` or `dwpd_sigma`. An empty fleet (`devices` 0) is
+// a valid degenerate run. The FleetSim constructor aborts on any violation
+// in every build mode.
+Status ValidateFleetConfig(const FleetConfig& config);
+
+// Daily probability that one device loses power through its own injector:
+// `power_loss_per_device_day` when set, else `device_faults.power_loss` when
+// per-device fault injection is on, else 0. The injector each device gets is
+// armed with exactly this value.
+double DevicePowerLossPerDay(const FleetConfig& config);
+
+// True when some power loss can reach a device of this fleet: rack power
+// events are enabled, or DevicePowerLossPerDay is above zero. These are the
+// only two paths on which the fleet calls SsdDevice::Crash(kPowerLoss), and
+// the fleet journals its devices' FTLs (FtlConfig::journaled) exactly when
+// this holds — a fleet no power loss can reach pays for no journal.
+bool FleetPowerLossPossible(const FleetConfig& config);
 
 struct FleetSnapshot {
   uint32_t day = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace salamander {
@@ -32,26 +34,58 @@ uint64_t JournalCapacity(const FtlConfig& config) {
   return capacity;
 }
 
+// Validates before any member is built from the config: an invalid geometry
+// would otherwise size arrays (or divide) by zero before the check ran.
+const FtlConfig& RequireValidFtlConfig(const FtlConfig& config) {
+  const Status status = ValidateFtlConfig(config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "Ftl: invalid config: %s\n",
+                 status.message().c_str());
+    std::abort();
+  }
+  return config;
+}
+
 }  // namespace
 
+Status ValidateFtlConfig(const FtlConfig& config) {
+  if (!config.geometry.Valid()) {
+    return InvalidArgumentError("flash geometry has a zero dimension");
+  }
+  if (config.geometry.opages_per_fpage !=
+      config.ecc_geometry.opages_per_fpage) {
+    return InvalidArgumentError(
+        "flash geometry and ECC geometry must agree on opages_per_fpage");
+  }
+  if (config.retirement != RetirementGranularity::kPage &&
+      config.max_usable_level != 0) {
+    return InvalidArgumentError(
+        "block-granular retirement implies a fixed L0 ECC "
+        "(max_usable_level 0)");
+  }
+  if (config.max_usable_level >= config.geometry.opages_per_fpage) {
+    return InvalidArgumentError(
+        "max_usable_level must be below opages_per_fpage");
+  }
+  if (config.gc_low_watermark_blocks < 2) {
+    return InvalidArgumentError(
+        "gc_low_watermark_blocks must be >= 2 (GC needs two blocks of "
+        "headroom)");
+  }
+  if (config.l2p_cache_entries > 0 && config.l2p_entries_per_map_page == 0 &&
+      config.geometry.opage_bytes / 8 == 0) {
+    return InvalidArgumentError("L2P map pages must hold >= 1 entry");
+  }
+  return OkStatus();
+}
+
 Ftl::Ftl(const FtlConfig& config)
-    : config_(config),
+    : config_(RequireValidFtlConfig(config)),
       chip_(std::make_unique<FlashChip>(config.geometry, config.wear,
                                         config.latency, config.seed)),
       ladder_(ComputeTirednessLadder(config.ecc_geometry)),
       rng_(config.seed ^ 0x9e3779b97f4a7c15ULL),
       journal_(JournalCapacity(config)) {
-  assert(config_.geometry.Valid());
-  assert(config_.geometry.opages_per_fpage ==
-             config_.ecc_geometry.opages_per_fpage &&
-         "flash geometry and ECC geometry must agree");
-  assert((config_.retirement == RetirementGranularity::kPage ||
-          config_.max_usable_level == 0) &&
-         "block-granular retirement implies a fixed L0 ECC");
-  assert(config_.max_usable_level < config_.geometry.opages_per_fpage);
-  assert(config_.gc_low_watermark_blocks >= 2 &&
-         "GC needs at least two blocks of headroom");
-
   const uint64_t fpages = config_.geometry.total_fpages();
   const uint64_t blocks = config_.geometry.total_blocks();
   page_level_.assign(fpages, 0);
@@ -73,7 +107,6 @@ Ftl::Ftl(const FtlConfig& config)
     l2p_entries_per_page_ = config_.l2p_entries_per_map_page > 0
                                 ? config_.l2p_entries_per_map_page
                                 : config_.geometry.opage_bytes / 8;
-    assert(l2p_entries_per_page_ > 0 && "map pages must hold >= 1 entry");
     l2p_capacity_pages_ = std::max<uint64_t>(
         1, config_.l2p_cache_entries / l2p_entries_per_page_);
   }
@@ -1185,6 +1218,9 @@ void Ftl::ReplayRestoreMapPage(uint64_t map_index) {
 // ---------------------------------------------------------------------------
 
 void Ftl::JournalAppend(const JournalRecord& record) {
+  if (!config_.journaled) {
+    return;
+  }
   if (journal_.AtCapacity()) {
     CompactJournal();
   }
@@ -1302,7 +1338,18 @@ void Ftl::CompactJournal() {
   journal_.ReplaceWith(std::move(out));
 }
 
+void Ftl::RequireJournaled(const char* op) const {
+  if (!config_.journaled) {
+    std::fprintf(stderr,
+                 "Ftl::%s: this FTL keeps no journal (FtlConfig::journaled "
+                 "is false), so no power loss may reach it\n",
+                 op);
+    std::abort();
+  }
+}
+
 void Ftl::SimulatePowerLoss(uint64_t torn_records) {
+  RequireJournaled("SimulatePowerLoss");
   ++power_losses_;
   // The volatile write buffers are lost: every logical page whose newest
   // version was still buffered rolls back — to an older durable version if
@@ -1329,6 +1376,7 @@ void Ftl::SimulatePowerLoss(uint64_t torn_records) {
 }
 
 Status Ftl::Replay() {
+  RequireJournaled("Replay");
   ++journal_replays_;
   const FlashGeometry& geometry = config_.geometry;
   const uint64_t fpages = geometry.total_fpages();

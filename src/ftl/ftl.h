@@ -12,6 +12,11 @@
 // to aging", §4), and PEC changes exactly at erase. A page that changes
 // level is empty at that moment (GC relocated its data before the erase), so
 // transitions never require data movement of their own.
+//
+// Construction pays only for what the device can use: the tiredness ladder
+// comes from ComputeTirednessLadder, computed once per ECC geometry per
+// process, and the metadata journal is kept only when FtlConfig::journaled
+// says a power loss can reach the device (FleetSim decides that per fleet).
 #ifndef SALAMANDER_FTL_FTL_H_
 #define SALAMANDER_FTL_FTL_H_
 
@@ -98,6 +103,14 @@ struct FtlConfig {
   SimDuration buffer_read_latency = 2 * kMicrosecond;
 
   // ---- Metadata journal (crash-restart recovery) -------------------------
+  // Whether this FTL keeps a metadata journal at all. The journal exists only
+  // where a power loss can reach the device: it is what SimulatePowerLoss
+  // tears and Replay rebuilds from, and only that path reads it. Clusters,
+  // crash harnesses and standalone devices keep the default; FleetSim clears
+  // it for fleets no power loss can reach (see FleetPowerLossPossible). An
+  // unjournaled FTL skips every append, sync and compaction, and aborts on
+  // SimulatePowerLoss or Replay; every other behaviour is identical.
+  bool journaled = true;
   // Journal region capacity in records; 0 = auto (sized to hold a full state
   // snapshot plus slack). The FTL compacts when the region fills.
   uint64_t journal_capacity_records = 0;
@@ -120,6 +133,13 @@ struct FtlConfig {
 
   uint64_t seed = 1;
 };
+
+// Rejects an FtlConfig the FTL cannot run: an invalid flash geometry, flash
+// and ECC geometries that disagree on oPages per fPage, block-granular
+// retirement above level 0, a max_usable_level that leaves no data oPage, a
+// GC watermark below two blocks, or (bounded L2P) map pages that hold no
+// entry. The Ftl constructor aborts on any of them in every build mode.
+Status ValidateFtlConfig(const FtlConfig& config);
 
 // One tiredness transition, reported to the layer above.
 struct PageTransition {
@@ -350,6 +370,8 @@ class Ftl {
   }
   // Explicit durability barrier (also taken on every host Flush()).
   void SyncJournal() { journal_.Sync(); }
+  // Always empty (zero appends, syncs and compactions) when
+  // FtlConfig::journaled is false.
   const FtlJournal& journal() const { return journal_; }
 
   // Models a power loss: the volatile write buffers are dropped (their
@@ -357,7 +379,8 @@ class Ftl {
   // and `torn_records` unsynced journal-tail records are discarded (never
   // crossing the sync barrier). Deterministic — performs no Rng draws; the
   // caller decides the torn count (e.g. FaultInjector::TornJournalRecords).
-  // The FTL must not serve I/O until Replay() rebuilds it.
+  // The FTL must not serve I/O until Replay() rebuilds it. Aborts, in every
+  // build mode, on an unjournaled FTL: there is nothing to recover from.
   void SimulatePowerLoss(uint64_t torn_records);
 
   // Rebuilds the full FTL state from the journal and the surviving physical
@@ -366,7 +389,8 @@ class Ftl {
   // candidate list. Write frontiers restart empty; partially-programmed
   // ex-active blocks are sealed (NAND forbids resuming their program order).
   // Mappings whose backing slot was destroyed are discarded and flagged
-  // rolled back. Returns CheckInvariants() on the rebuilt state.
+  // rolled back. Returns CheckInvariants() on the rebuilt state. Aborts, in
+  // every build mode, on an unjournaled FTL.
   Status Replay();
 
   // True if the last acknowledged write (or trim) of `lpo` was lost to a
@@ -384,7 +408,9 @@ class Ftl {
   // Order-independent FNV-1a digest over the complete logical state
   // (mapping, page levels/states, block states, tallies, rolled-back set,
   // journal position). Two FTLs with equal digests behave identically;
-  // replay determinism tests compare digests.
+  // replay determinism tests compare digests. An unjournaled FTL hashes its
+  // journal position as 0/0 (size/synced), so its digest differs from a
+  // journaled twin's only in that position.
   uint64_t StateDigest() const;
 
   unsigned PageLevel(FPageIndex fpage) const { return page_level_[fpage]; }
@@ -506,8 +532,14 @@ class Ftl {
   void ReplayRestoreMapPage(uint64_t map_index);
 
   // --- journal ---
-  // Append with the auto-sync and at-capacity compaction policy applied.
+  // Append with the auto-sync and at-capacity compaction policy applied; a
+  // no-op when the FTL is unjournaled. Every record enters the journal here,
+  // so an unjournaled journal stays empty and the explicit Sync() barriers
+  // elsewhere find nothing to sync.
   void JournalAppend(const JournalRecord& record);
+  // Aborts (every build mode) if the FTL keeps no journal; `op` names the
+  // caller in the message.
+  void RequireJournaled(const char* op) const;
   void JournalPageState(FPageIndex fpage);
   // Rewrites the journal as a minimal description of current state.
   void CompactJournal();

@@ -18,6 +18,14 @@
 //    description of current state (one kMap per mapped lpo, one kPageState
 //    per non-pristine page, three records per mDisk ever created) and the
 //    result is fully synced — compaction is itself a durability barrier.
+//
+// The journal exists only where a power loss can reach the device: only the
+// power-loss and restart path (Ftl::SimulatePowerLoss, Ftl::Replay and the
+// mDisk table rebuild after it) reads it. An FTL built with
+// FtlConfig::journaled = false (FleetSim decides this per fleet, from
+// FleetPowerLossPossible) appends nothing, so it never syncs or compacts
+// either, its StateDigest hashes the journal position as 0/0, and power loss
+// or replay on it aborts.
 #ifndef SALAMANDER_FTL_JOURNAL_H_
 #define SALAMANDER_FTL_JOURNAL_H_
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <latch>
+#include <thread>
+#include <vector>
+
 namespace salamander {
 namespace {
 
@@ -93,6 +99,89 @@ TEST(TirednessTest, EccBytesConserveFPageArea) {
   for (const auto& level : ladder) {
     EXPECT_EQ(level.data_bytes + level.ecc_bytes, total)
         << "L" << level.level;
+  }
+}
+
+// ---- Memoized ladder -------------------------------------------------------
+
+// The reference ladder, built level by level through ComputeTirednessLevel —
+// which the ladder cache never touches.
+std::vector<TirednessLevelEcc> ReferenceLadder(const FPageEccGeometry& geo) {
+  std::vector<TirednessLevelEcc> ladder;
+  for (unsigned level = 0; level <= geo.opages_per_fpage; ++level) {
+    ladder.push_back(ComputeTirednessLevel(geo, level));
+  }
+  return ladder;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+void ExpectSameLadder(const std::vector<TirednessLevelEcc>& got,
+                      const std::vector<TirednessLevelEcc>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t l = 0; l < want.size(); ++l) {
+    SCOPED_TRACE(::testing::Message() << "L" << l);
+    EXPECT_EQ(got[l].level, want[l].level);
+    EXPECT_EQ(got[l].data_opages, want[l].data_opages);
+    EXPECT_EQ(got[l].data_bytes, want[l].data_bytes);
+    EXPECT_EQ(got[l].ecc_bytes, want[l].ecc_bytes);
+    EXPECT_EQ(Bits(got[l].code_rate), Bits(want[l].code_rate));
+    EXPECT_EQ(got[l].stripes, want[l].stripes);
+    EXPECT_EQ(got[l].parity_bytes_per_stripe, want[l].parity_bytes_per_stripe);
+    EXPECT_EQ(got[l].correctable_bits_per_stripe,
+              want[l].correctable_bits_per_stripe);
+    EXPECT_EQ(got[l].stripe_codeword_bits, want[l].stripe_codeword_bits);
+    EXPECT_EQ(Bits(got[l].max_tolerable_rber), Bits(want[l].max_tolerable_rber));
+  }
+}
+
+TEST(TirednessMemoTest, LadderMatchesUncachedReferenceBitForBit) {
+  FPageEccGeometry paper;
+  FPageEccGeometry strict = paper;  // differs only in stripe_fail_target
+  strict.stripe_fail_target = 1e-15;
+  FPageEccGeometry small;
+  small.opages_per_fpage = 2;
+  small.spare_bytes = 1024;
+  small.gf_m = 13;
+  for (const FPageEccGeometry& geo : {paper, strict, small}) {
+    const std::vector<TirednessLevelEcc> want = ReferenceLadder(geo);
+    // The first call may fill the cache, the second must hit it; both have
+    // to equal the uncached computation exactly.
+    ExpectSameLadder(ComputeTirednessLadder(geo), want);
+    ExpectSameLadder(ComputeTirednessLadder(geo), want);
+  }
+  // The key separates geometries that differ only in the double: a stricter
+  // failure target must tolerate strictly less RBER at every data level.
+  const auto loose = ComputeTirednessLadder(paper);
+  const auto tight = ComputeTirednessLadder(strict);
+  for (unsigned l = 0; l < paper.opages_per_fpage; ++l) {
+    EXPECT_LT(tight[l].max_tolerable_rber, loose[l].max_tolerable_rber)
+        << "L" << l;
+  }
+}
+
+TEST(TirednessMemoTest, ConcurrentFirstCallsAgree) {
+  // A geometry no other test uses, so the four calls below race to be first.
+  FPageEccGeometry geo;
+  geo.spare_bytes = 1536;
+  geo.stripe_fail_target = 3.25e-12;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<TirednessLevelEcc>> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[t] = ComputeTirednessLadder(geo);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const std::vector<TirednessLevelEcc> want = ReferenceLadder(geo);
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(::testing::Message() << "thread " << t);
+    ExpectSameLadder(results[t], want);
   }
 }
 
