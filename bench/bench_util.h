@@ -116,9 +116,9 @@ inline double ParseF64Flag(int argc, char** argv, const char* flag,
 }
 
 // Parses `--scrub-opages-per-day N` / `--scrub-opages-per-day=N`: the
-// background-scrub pacing knob shared by the fleet and soak benches. 0 is a
-// *valid* value meaning "scrub disabled" (not a usage error — only signs,
-// garbage, and overflow exit 2), and it is the default everywhere so that
+// cluster-scrub pacing knob of the chaos_soak bench (DifsCluster::ScrubStep).
+// 0 is a *valid* value meaning "scrub disabled" (not a usage error — only
+// signs, garbage, and overflow exit 2), and it is the default so that
 // scrub-free runs stay byte-identical to builds without the scrubber.
 inline uint64_t ParseScrubOPagesPerDay(int argc, char** argv,
                                        uint64_t default_value = 0) {

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace salamander {
 
@@ -137,14 +136,6 @@ void LogHistogram::Reset() {
   max_ = 0;
 }
 
-std::string LogHistogram::Summary() const {
-  std::ostringstream os;
-  os << "n=" << count_ << " mean=" << Mean() << " min=" << min()
-     << " p50=" << P50() << " p95=" << P95() << " p99=" << P99()
-     << " max=" << max_;
-  return os.str();
-}
-
 void RunningStats::Record(double value) {
   if (count_ == 0) {
     min_ = value;
@@ -188,18 +179,6 @@ void RunningStats::Merge(const RunningStats& other) {
 
 double RunningStats::Variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::StdDev() const {
-  return std::sqrt(Variance());
-}
-
-void RunningStats::Reset() {
-  count_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
 }
 
 double TimeSeries::Interpolate(double x) const {

@@ -49,9 +49,6 @@ class LogHistogram {
   bool Merge(const LogHistogram& other);
   void Reset();
 
-  // One-line human-readable summary, e.g. for bench output.
-  std::string Summary() const;
-
  private:
   uint64_t BucketIndex(uint64_t value) const;
   uint64_t BucketUpperBound(uint64_t index) const;
@@ -73,15 +70,12 @@ class RunningStats {
   uint64_t count() const { return count_; }
   double mean() const { return mean_; }
   double Variance() const;
-  double StdDev() const;
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
 
   // Folds `other`'s samples into this accumulator (Chan et al.'s parallel
   // variance combination), as if every value had been Record()ed here.
   void Merge(const RunningStats& other);
-
-  void Reset();
 
  private:
   uint64_t count_ = 0;

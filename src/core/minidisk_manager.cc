@@ -149,7 +149,7 @@ StatusOr<RangeReadResult> MinidiskManager::ReadRange(MinidiskId mdisk,
 uint64_t MinidiskManager::ReserveOPages() const {
   const uint64_t raw = ftl_->config().geometry.total_opages();
   const uint64_t op_reserve =
-      static_cast<uint64_t>(static_cast<double>(raw) * config_.op_ratio);
+      static_cast<uint64_t>(static_cast<double>(raw) * kOpRatio);
   return std::max(op_reserve, ftl_->gc_reserve_opages());
 }
 

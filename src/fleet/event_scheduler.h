@@ -26,7 +26,7 @@ namespace salamander {
 // ever held two events on one day the restart would fire after the step —
 // in practice the fleet keeps at most one pending event per device.
 enum class FleetEventKind : uint8_t {
-  kStep = 0,     // daily stepping due (writes, AFR/power draws, scrub)
+  kStep = 0,     // daily stepping due (writes, AFR/power draws)
   kRestart = 1,  // power restored: attempt journal-replay restart
 };
 

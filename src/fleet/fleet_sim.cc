@@ -48,16 +48,9 @@ Status ValidateFleetConfig(const FleetConfig& config) {
   return OkStatus();
 }
 
-double DevicePowerLossPerDay(const FleetConfig& config) {
-  if (config.power_loss_per_device_day > 0.0) {
-    return config.power_loss_per_device_day;
-  }
-  return config.inject_device_faults ? config.device_faults.power_loss : 0.0;
-}
-
 bool FleetPowerLossPossible(const FleetConfig& config) {
   return config.domain.rack_events_enabled() ||
-         DevicePowerLossPerDay(config) > 0.0;
+         config.power_loss_per_device_day > 0.0;
 }
 
 FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
@@ -116,7 +109,6 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
   // on (seed, device index) — never on how other devices consume randomness
   // or on the order in which devices are later stepped.
   Rng fleet_rng(config_.seed ^ 0xf1ee7f1ee7f1ee70ULL);
-  const double device_power_loss = DevicePowerLossPerDay(config_);
   const bool journaled = FleetPowerLossPossible(config_);
   slots_.reserve(config_.devices);
   for (uint32_t i = 0; i < config_.devices; ++i) {
@@ -132,10 +124,11 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
       // factor), so it shifts every page of the cohort's devices coherently.
       wear.coefficient *= domain_schedule_.cohort_wear_factor[slot.cohort];
     }
+    // RegenS devices keep MakeSsdConfig's default level cap (1, the paper's
+    // recommended L < 2).
     SsdConfig ssd_config =
         MakeSsdConfig(config_.kind, config_.geometry, wear,
-                      config_.latency, config_.ecc, device_seed,
-                      config_.regen_max_level);
+                      config_.latency, config_.ecc, device_seed);
     if (config_.msize_opages > 0 &&
         (config_.kind == SsdKind::kShrinkS ||
          config_.kind == SsdKind::kRegenS)) {
@@ -143,12 +136,12 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
     }
     ssd_config.ftl.l2p_cache_entries = config_.l2p_cache_entries;
     ssd_config.ftl.journaled = journaled;
-    if (config_.inject_device_faults || device_power_loss > 0.0) {
+    if (config_.power_loss_per_device_day > 0.0) {
       // Power loss rides the per-device injector so its draws follow the
-      // fork-in-id-order discipline; with only power loss requested the
-      // other sites keep probability 0 and therefore draw nothing.
-      FaultConfig faults = config_.device_faults;
-      faults.power_loss = device_power_loss;
+      // fork-in-id-order discipline; every other site keeps probability 0
+      // and therefore draws nothing.
+      FaultConfig faults;
+      faults.power_loss = config_.power_loss_per_device_day;
       slot.faults = std::make_shared<FaultInjector>(faults, i);
       ssd_config.faults = slot.faults;
     }
@@ -158,20 +151,11 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
       // Tenant skew reaches flash through the driver's address stream: the
       // zipfian-hot fraction of oPage writes lands on a hot subset of live
       // mDisks at the tenant template's theta.
-      aging.zipfian_fraction = config_.traffic.device_zipfian_fraction;
+      aging.zipfian_fraction = FleetTrafficConfig::kDeviceZipfianFraction;
       aging.zipfian_theta = config_.traffic.tenant.zipf_theta;
     }
     slot.driver =
         std::make_unique<AgingDriver>(slot.device.get(), driver_seed, aging);
-    if (config_.scrub_opages_per_day > 0) {
-      // 4th fork per device, still in device-ID order. Disabled scrub forks
-      // nothing, keeping every pre-existing stream byte-identical.
-      slot.scrub_rng = fleet_rng.Fork();
-      // Staggered start: without it every device scrubs the same mDisk the
-      // same day and detection clumps artificially.
-      slot.scrub_cursor.major =
-          slot.scrub_rng.UniformU64(slot.device->total_minidisks());
-    }
     initial_capacity_ += slot.device->live_capacity_bytes();
     const uint64_t per_device_opages =
         slot.device->initial_capacity_bytes() / config_.geometry.opage_bytes;
@@ -182,13 +166,13 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
     slot.writes_per_day = static_cast<uint64_t>(
         config_.dwpd * imbalance * static_cast<double>(per_device_opages));
     if (config_.traffic.enabled()) {
-      // 5th fork per device, still in device-ID order; disabled traffic
+      // 4th fork per device, still in device-ID order; disabled traffic
       // forks nothing, keeping every pre-existing stream byte-identical.
       const uint64_t traffic_seed = fleet_rng.ForkSeed();
       slot.traffic = std::make_unique<TrafficEngine>(
           MakeUniformTraffic(config_.traffic.tenants_per_device,
                              config_.traffic.tenant, traffic_seed,
-                             config_.traffic.mixed_arrivals),
+                             FleetTrafficConfig::kMixedArrivals),
           std::max<uint64_t>(1, per_device_opages));
     }
     slots_.push_back(std::move(slot));
@@ -213,8 +197,7 @@ FleetSnapshot FleetSim::Sample(uint32_t day) const {
 }
 
 void FleetSim::StepDevice(DeviceSlot& slot, uint32_t day,
-                          double daily_failure, uint64_t scrub_budget,
-                          uint32_t restart_days,
+                          double daily_failure, uint32_t restart_days,
                           const FleetQueueConfig& queue,
                           const FleetDomainConfig& domain,
                           const FleetDomainSchedule* schedule, size_t shard,
@@ -297,8 +280,8 @@ void FleetSim::StepDevice(DeviceSlot& slot, uint32_t day,
   }
   if (slot.faults != nullptr && slot.faults->LosesPower()) {
     // Power pulled: the device goes dark silently for `restart_days`; the
-    // rest of this day (writes, scrub) is lost to the outage. The injector
-    // draws only at DevicePowerLossPerDay > 0 — the other arm of
+    // rest of this day's writes is lost to the outage. The injector exists
+    // only at power_loss_per_device_day > 0 — the other arm of
     // FleetPowerLossPossible, so this device's FTL is journaled.
     slot.device->Crash(SsdDevice::CrashKind::kPowerLoss);
     slot.dark = true;
@@ -340,14 +323,6 @@ void FleetSim::StepDevice(DeviceSlot& slot, uint32_t day,
   if (result.device_failed) {
     slot.alive = false;
   }
-  if (scrub_budget > 0 && slot.alive && !slot.device->failed()) {
-    ScrubDevice(slot, scrub_budget);
-    if (slot.device->failed()) {
-      // Scrub wears flash too: the day's reads (or repair writes) can push
-      // a near-dead device over the edge, same as foreground traffic.
-      slot.alive = false;
-    }
-  }
   if (domain.drain_enabled() && slot.alive && !slot.device->failed() &&
       slot.device->HealthScore(domain.drain_pec_horizon) <=
           domain.drain_health_threshold) {
@@ -366,59 +341,6 @@ void FleetSim::StepDevice(DeviceSlot& slot, uint32_t day,
   }
   if (opages != nullptr) {
     opages->Add(shard, result.opages_written);
-  }
-}
-
-void FleetSim::ScrubDevice(DeviceSlot& slot, uint64_t budget) {
-  SsdDevice& device = *slot.device;
-  const uint64_t mdisks = device.total_minidisks();
-  const uint64_t msize = device.msize_opages();
-  if (mdisks == 0 || msize == 0) {
-    return;
-  }
-  slot.scrub_cursor.Normalize(mdisks, msize);
-  uint64_t reads = 0;
-  // Dead mDisks cost no budget; bound consecutive skips so a mostly-
-  // decommissioned device cannot spin.
-  uint64_t skipped = 0;
-  while (reads < budget && skipped <= mdisks && !device.failed()) {
-    const MinidiskId mdisk = static_cast<MinidiskId>(slot.scrub_cursor.major);
-    const MinidiskState mstate = device.manager().minidisk(mdisk).state;
-    if (mstate != MinidiskState::kLive && mstate != MinidiskState::kDraining) {
-      ++skipped;
-      if (slot.scrub_cursor.SkipMajor(mdisks)) {
-        ++slot.scrub_passes;
-      }
-      continue;
-    }
-    skipped = 0;
-    const uint64_t lba = slot.scrub_cursor.minor;
-    auto read = device.Read(mdisk, lba);
-    ++reads;
-    ++slot.scrub_reads;
-    // Fold the FTL's silent-corruption counter delta: scrub reads are the
-    // only host reads the fleet issues, so over a run the summed deltas
-    // equal the injector's kReadCorrupt count exactly.
-    const uint64_t now = device.ftl().stats().silent_corrupt_fpage_reads;
-    const uint64_t corrupt = now - slot.observed_silent_corrupt;
-    slot.observed_silent_corrupt = now;
-    if (corrupt > 0) {
-      slot.scrub_detected += corrupt;
-      // Repair in place: rewrite the oPage so future reads see freshly
-      // programmed flash (content restored from host-level redundancy in a
-      // real deployment).
-      if (read.ok() && device.Write(mdisk, lba).ok()) {
-        ++slot.scrub_repairs;
-      }
-    } else if (!read.ok() &&
-               read.status().code() == StatusCode::kDataLoss) {
-      if (device.Write(mdisk, lba).ok()) {
-        ++slot.scrub_repairs;
-      }
-    }
-    if (slot.scrub_cursor.Advance(mdisks, msize)) {
-      ++slot.scrub_passes;
-    }
   }
 }
 
@@ -472,7 +394,6 @@ std::vector<FleetSnapshot> FleetSim::RunLockstep() {
     pool.ParallelFor(slots_.size(), [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         StepDevice(slots_[i], day, daily_failure,
-                   config_.scrub_opages_per_day,
                    config_.power_loss_restart_days, config_.queue,
                    config_.domain, schedule, i,
                    day_steps_.get(), day_opages_.get());
@@ -501,8 +422,7 @@ std::vector<FleetSnapshot> FleetSim::RunLockstep() {
 
 void FleetSim::ExecuteEvent(DeviceSlot& slot, const FleetEvent& event,
                             uint32_t window_end, uint32_t horizon_days,
-                            double daily_failure, uint64_t scrub_budget,
-                            uint32_t restart_days,
+                            double daily_failure, uint32_t restart_days,
                             const FleetQueueConfig& queue,
                             const FleetDomainConfig& domain,
                             const FleetDomainSchedule* schedule,
@@ -510,8 +430,8 @@ void FleetSim::ExecuteEvent(DeviceSlot& slot, const FleetEvent& event,
   const size_t shard = event.device;
   uint32_t day = event.day;
   while (day <= window_end) {
-    StepDevice(slot, day, daily_failure, scrub_budget, restart_days, queue,
-               domain, schedule, shard, steps, opages);
+    StepDevice(slot, day, daily_failure, restart_days, queue, domain,
+               schedule, shard, steps, opages);
     ++slot.days_stepped;
     if (!slot.alive) {
       // Terminal: dead devices post no further events, so the rest of the
@@ -620,7 +540,6 @@ std::vector<FleetSnapshot> FleetSim::RunEventDriven() {
       for (size_t i = begin; i < end; ++i) {
         ExecuteEvent(slots_[batch[i].device], batch[i], window_end,
                      config_.days, daily_failure,
-                     config_.scrub_opages_per_day,
                      config_.power_loss_restart_days, config_.queue,
                      config_.domain, schedule,
                      day_steps_.get(), day_opages_.get());
@@ -684,10 +603,6 @@ uint64_t FleetSim::DeviceDigest(uint32_t device) const {
   mix(slot.power_losses);
   mix(slot.restarts);
   mix(slot.restart_failures);
-  mix(slot.scrub_reads);
-  mix(slot.scrub_detected);
-  mix(slot.scrub_repairs);
-  mix(slot.scrub_passes);
   mix(slot.device->live_capacity_bytes());
   mix(slot.device->manager().decommissioned_total());
   mix(slot.device->manager().regenerated_total());
@@ -780,21 +695,9 @@ void FleetSim::RegisterSamplerProbes() {
   sampler.AddProbe("fleet.faults_injected_total", [this] {
     return static_cast<double>(TotalFaultsInjected());
   });
-  // Scrub probes only exist when scrub runs: a disabled scrubber must leave
-  // sampler CSVs (and thus every existing bench artifact) byte-identical.
-  if (config_.scrub_opages_per_day > 0) {
-    sampler.AddProbe("fleet.scrub_reads_total", [this] {
-      return static_cast<double>(scrub_reads_total());
-    });
-    sampler.AddProbe("fleet.scrub_detected_total", [this] {
-      return static_cast<double>(scrub_detected_total());
-    });
-    sampler.AddProbe("fleet.scrub_repairs_total", [this] {
-      return static_cast<double>(scrub_repairs_total());
-    });
-  }
-  // Queue probes only exist when admission control runs, for the same
-  // byte-identity reason as the scrub probes above.
+  // Queue probes only exist when admission control runs: a disabled queue
+  // must leave sampler CSVs (and thus every existing bench artifact)
+  // byte-identical.
   if (config_.queue.enabled()) {
     sampler.AddProbe("fleet.sched.backlog_opages", [this] {
       return static_cast<double>(queue_backlog_total());
@@ -804,7 +707,7 @@ void FleetSim::RegisterSamplerProbes() {
     });
   }
   // Domain probes only exist when the corresponding domain feature is on,
-  // for the same byte-identity reason as the scrub probes above.
+  // for the same byte-identity reason as the queue probes above.
   if (config_.domain.rack_events_enabled()) {
     sampler.AddProbe("fleet.domain.rack_crashes_total", [this] {
       return static_cast<double>(rack_crashes_total());
@@ -821,7 +724,7 @@ void FleetSim::RegisterSamplerProbes() {
     });
   }
   // Power-loss probes only exist when power loss is injected, for the same
-  // byte-identity reason as the scrub probes above.
+  // byte-identity reason as the queue probes above.
   if (config_.power_loss_per_device_day > 0.0) {
     sampler.AddProbe("fleet.dark_devices", [this] {
       return static_cast<double>(dark_devices());
@@ -933,18 +836,6 @@ void FleetSim::CollectMetrics(MetricRegistry& registry,
       .Add(host_opages_written_);
   registry.GetGauge(prefix + "fleet.pending_event_depth")
       .Add(static_cast<double>(TotalPendingEventDepth()));
-  // Scrub counters only exist when scrub runs, so a disabled scrubber leaves
-  // metric dumps byte-identical to a scrub-free build.
-  if (config_.scrub_opages_per_day > 0) {
-    registry.GetCounter(prefix + "fleet.scrub.opage_reads")
-        .Add(scrub_reads_total());
-    registry.GetCounter(prefix + "fleet.scrub.detected")
-        .Add(scrub_detected_total());
-    registry.GetCounter(prefix + "fleet.scrub.repairs")
-        .Add(scrub_repairs_total());
-    registry.GetCounter(prefix + "fleet.scrub.passes")
-        .Add(scrub_passes_total());
-  }
   // Scheduler counters exist only in event-driven mode, so lockstep runs —
   // the golden reference — keep their metric dumps byte-identical to the
   // pre-scheduler output.
@@ -959,8 +850,8 @@ void FleetSim::CollectMetrics(MetricRegistry& registry,
     registry.GetCounter(prefix + "fleet.scheduler.dark_days_skipped")
         .Add(sched.dark_days_skipped);
   }
-  // Traffic counters follow the scrub rule: absent unless the traffic
-  // engine is enabled, keeping flat-dwpd metric dumps byte-identical.
+  // Traffic counters exist only when the traffic engine is enabled, keeping
+  // flat-dwpd metric dumps byte-identical.
   if (config_.traffic.enabled()) {
     uint64_t traffic_ops = 0;
     uint64_t traffic_reads = 0;
@@ -976,8 +867,8 @@ void FleetSim::CollectMetrics(MetricRegistry& registry,
     registry.GetGauge(prefix + "fleet.traffic.tenants_per_device")
         .Add(static_cast<double>(config_.traffic.tenants_per_device));
   }
-  // Admission-queue counters follow the scrub rule: absent unless enabled,
-  // keeping queue-free metric dumps byte-identical.
+  // Admission-queue counters follow the traffic rule: absent unless
+  // enabled, keeping queue-free metric dumps byte-identical.
   if (config_.queue.enabled()) {
     registry.GetCounter(prefix + "fleet.sched.admitted_opages")
         .Add(queue_admitted_total());
@@ -1043,38 +934,6 @@ void FleetSim::CollectMetrics(MetricRegistry& registry,
   for (const DeviceSlot& slot : slots_) {
     slot.device->CollectMetrics(registry, prefix);
   }
-}
-
-uint64_t FleetSim::scrub_reads_total() const {
-  uint64_t total = 0;
-  for (const DeviceSlot& slot : slots_) {
-    total += slot.scrub_reads;
-  }
-  return total;
-}
-
-uint64_t FleetSim::scrub_detected_total() const {
-  uint64_t total = 0;
-  for (const DeviceSlot& slot : slots_) {
-    total += slot.scrub_detected;
-  }
-  return total;
-}
-
-uint64_t FleetSim::scrub_repairs_total() const {
-  uint64_t total = 0;
-  for (const DeviceSlot& slot : slots_) {
-    total += slot.scrub_repairs;
-  }
-  return total;
-}
-
-uint64_t FleetSim::scrub_passes_total() const {
-  uint64_t total = 0;
-  for (const DeviceSlot& slot : slots_) {
-    total += slot.scrub_passes;
-  }
-  return total;
 }
 
 uint64_t FleetSim::queue_admitted_total() const {
@@ -1171,16 +1030,6 @@ uint32_t FleetSim::dark_devices() const {
     dark += slot.dark ? 1 : 0;
   }
   return dark;
-}
-
-uint64_t FleetSim::read_corrupt_injected_total() const {
-  uint64_t total = 0;
-  for (const DeviceSlot& slot : slots_) {
-    if (slot.device->faults() != nullptr) {
-      total += slot.device->faults()->stats().count(FaultSite::kReadCorrupt);
-    }
-  }
-  return total;
 }
 
 std::optional<uint32_t> FleetSim::DayDevicesBelow(double fraction) const {

@@ -24,7 +24,6 @@
 #include "common/status.h"
 #include "faults/fault_injector.h"
 #include "fleet/event_scheduler.h"
-#include "integrity/scrub_cursor.h"
 #include "ssd/ssd_device.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
@@ -61,14 +60,15 @@ struct FleetTrafficConfig {
   // a device's mean daily write demand is
   // tenants_per_device * ops_per_day * (1 - read_fraction).
   TenantConfig tenant;
-  // Rotate tenant arrival shapes steady/diurnal/bursty (with staggered
+
+  // Tenant arrival shapes rotate steady/diurnal/bursty (with staggered
   // phases) instead of cloning the template's shape.
-  bool mixed_arrivals = true;
+  static constexpr bool kMixedArrivals = true;
   // Address skew the tenants impose within each device: the fraction of
   // oPage writes drawn zipfian-hot (AgingConfig::zipfian_fraction) at the
-  // tenant template's theta. 1.0 = fully skewed (the regime where hot-spot
-  // wear concentrates and ShrinkS/RegenS diverge from CVSS).
-  double device_zipfian_fraction = 1.0;
+  // tenant template's theta. Fully skewed: the regime where hot-spot wear
+  // concentrates and ShrinkS/RegenS diverge from CVSS.
+  static constexpr double kDeviceZipfianFraction = 1.0;
 
   bool enabled() const { return tenants_per_device > 0; }
 };
@@ -162,7 +162,6 @@ struct FleetConfig {
   WearModelConfig wear;
   FlashLatencyConfig latency;
   FPageEccGeometry ecc;
-  unsigned regen_max_level = 1;
   // mDisk size for Salamander kinds (oPages); 0 keeps the factory default.
   uint64_t msize_opages = 0;
   // DRAM-resident L2P window per device (FtlConfig::l2p_cache_entries).
@@ -202,22 +201,6 @@ struct FleetConfig {
   // reference implementation for the exact-equivalence gate. Snapshots and
   // telemetry are bit-identical between the two at any `threads`.
   FleetSchedulerMode scheduler = FleetSchedulerMode::kEventDriven;
-
-  // ---- Background scrub ----------------------------------------------------
-  // oPages each device reads back per simulated day to catch latent (silent)
-  // corruption; a detected-corrupt or uncorrectable oPage is repaired by a
-  // rewrite. Scrub reads are real device reads and wear flash (§4.3's
-  // recovery-wear accounting applies). 0 disables scrub entirely: no extra
-  // RNG forks, no extra reads — every output byte-identical to a scrub-free
-  // build. Pacing: ScrubFullPassDays(device_opages, scrub_opages_per_day).
-  uint64_t scrub_opages_per_day = 0;
-
-  // ---- Per-device fault injection ------------------------------------------
-  // When true, every device gets its own FaultInjector built from
-  // `device_faults` with stream_id = device index (the PR-1 fork-in-id-order
-  // discipline, so injection schedules are bit-identical at any `threads`).
-  bool inject_device_faults = false;
-  FaultConfig device_faults;
 
   // ---- Transient power loss (crash-restart recovery) -----------------------
   // Daily probability that a functioning device loses power and goes dark
@@ -261,17 +244,11 @@ struct FleetConfig {
 // in every build mode.
 Status ValidateFleetConfig(const FleetConfig& config);
 
-// Daily probability that one device loses power through its own injector:
-// `power_loss_per_device_day` when set, else `device_faults.power_loss` when
-// per-device fault injection is on, else 0. The injector each device gets is
-// armed with exactly this value.
-double DevicePowerLossPerDay(const FleetConfig& config);
-
 // True when some power loss can reach a device of this fleet: rack power
-// events are enabled, or DevicePowerLossPerDay is above zero. These are the
-// only two paths on which the fleet calls SsdDevice::Crash(kPowerLoss), and
-// the fleet journals its devices' FTLs (FtlConfig::journaled) exactly when
-// this holds — a fleet no power loss can reach pays for no journal.
+// events are enabled, or `power_loss_per_device_day` is above zero. These are
+// the only two paths on which the fleet calls SsdDevice::Crash(kPowerLoss),
+// and the fleet journals its devices' FTLs (FtlConfig::journaled) exactly
+// when this holds — a fleet no power loss can reach pays for no journal.
 bool FleetPowerLossPossible(const FleetConfig& config);
 
 struct FleetSnapshot {
@@ -306,15 +283,6 @@ class FleetSim {
 
   const std::vector<FleetSnapshot>& snapshots() const { return snapshots_; }
 
-  // Fleet-wide scrub totals (sums over devices). Valid after Run(); all zero
-  // when scrub is disabled.
-  uint64_t scrub_reads_total() const;
-  uint64_t scrub_detected_total() const;
-  uint64_t scrub_repairs_total() const;
-  uint64_t scrub_passes_total() const;
-  // Total silent corruptions injected across all device injectors.
-  uint64_t read_corrupt_injected_total() const;
-
   // Admission-queue totals (sums over devices). Valid after Run(); all zero
   // when the queue is disabled.
   uint64_t queue_admitted_total() const;
@@ -345,7 +313,7 @@ class FleetSim {
 
   // Order-independent digest of one device's complete post-run state: the
   // FTL StateDigest plus the fleet-level flags and counters the slot owns
-  // (liveness, darkness, outage ledger, scrub totals). Two engines that
+  // (liveness, darkness, outage ledger). Two engines that
   // agree on every digest simulated identical histories; the lockstep-vs-
   // event-driven equivalence gate diffs these per device.
   uint64_t DeviceDigest(uint32_t device) const;
@@ -368,9 +336,10 @@ class FleetSim {
     // consumes another device's randomness — the property that makes
     // parallel runs bit-identical to serial ones.
     Rng rng;
-    // The device's injector, when one is attached (fault injection or power
-    // loss); same object SsdConfig::faults holds. Kept here because the
-    // fleet draws LosesPower() from it, which mutates the site stream.
+    // The device's injector, attached only when power_loss_per_device_day
+    // > 0 and armed with that probability alone; same object
+    // SsdConfig::faults holds. Kept here because the fleet draws
+    // LosesPower() from it, which mutates the site stream.
     std::shared_ptr<FaultInjector> faults;
     uint64_t writes_per_day = 0;
     bool random_failure = false;  // killed by the AFR draw
@@ -398,15 +367,9 @@ class FleetSim {
     bool drained = false;
     uint64_t drain_migrated_bytes = 0;  // live capacity moved off at drain
 
-    // ---- Background scrub state (used only when scrub is enabled) ----------
-    // Forked 4th per device in device-ID order, so enabling scrub never
-    // perturbs another device's streams; used once, for the staggered start.
-    Rng scrub_rng;
-    ScrubCursor scrub_cursor;  // (mdisk, lba) — pure state, no draws
-
     // ---- Traffic engine (allocated only when traffic is enabled) -----------
-    // Seeded by the 5th per-device fork (after scrub's), still in device-ID
-    // order; slot-local, touched only by the worker stepping this slot.
+    // Seeded by the 4th per-device fork, still in device-ID order;
+    // slot-local, touched only by the worker stepping this slot.
     std::unique_ptr<TrafficEngine> traffic;
 
     // ---- Admission-control queue (used only when the queue is enabled) -----
@@ -416,11 +379,6 @@ class FleetSim {
     uint64_t queue_served_opages = 0;
     uint64_t queue_shed_opages = 0;
     uint64_t queue_backlog_peak = 0;
-    uint64_t observed_silent_corrupt = 0;  // last FTL counter reconciled
-    uint64_t scrub_reads = 0;
-    uint64_t scrub_detected = 0;  // silently-corrupt oPages caught by scrub
-    uint64_t scrub_repairs = 0;   // oPages rewritten (corrupt + uncorrectable)
-    uint64_t scrub_passes = 0;    // full device sweeps completed
 
     // ---- Event-scheduler state (slot-local; written only by the worker
     // executing this slot's event, read by the owner at batch barriers) -----
@@ -438,16 +396,11 @@ class FleetSim {
   // performs zero RNG draws so outage schedules stay bit-identical across
   // `threads`.
   static void StepDevice(DeviceSlot& slot, uint32_t day, double daily_failure,
-                         uint64_t scrub_budget, uint32_t restart_days,
+                         uint32_t restart_days,
                          const FleetQueueConfig& queue,
                          const FleetDomainConfig& domain,
                          const FleetDomainSchedule* schedule, size_t shard,
                          ShardedCounter* steps, ShardedCounter* opages);
-  // One day of background scrub on one device: walks `budget` oPages from
-  // the slot's cursor, folds the FTL's silent-corruption counter into the
-  // slot's scrub totals, and repairs flagged oPages by rewriting them.
-  // Same thread-safety contract as StepDevice (slot-local state only).
-  static void ScrubDevice(DeviceSlot& slot, uint64_t budget);
 
   // Executes one scheduler event: advances the device day by day from
   // `event.day` through `window_end` with exact lockstep per-day semantics
@@ -457,8 +410,7 @@ class FleetSim {
   // contract as StepDevice.
   static void ExecuteEvent(DeviceSlot& slot, const FleetEvent& event,
                            uint32_t window_end, uint32_t horizon_days,
-                           double daily_failure, uint64_t scrub_budget,
-                           uint32_t restart_days,
+                           double daily_failure, uint32_t restart_days,
                            const FleetQueueConfig& queue,
                            const FleetDomainConfig& domain,
                            const FleetDomainSchedule* schedule,

@@ -160,7 +160,7 @@ StatusOr<ReadResult> Ftl::Read(uint64_t lpo) {
   }
   if (IsBuffered(entry)) {
     ++stats_.buffer_hits;
-    return ReadResult{.latency = config_.buffer_read_latency + l2p_latency,
+    return ReadResult{.latency = kBufferReadLatency + l2p_latency,
                       .tiredness_level = 0,
                       .retries = 0,
                       .buffer_hit = true};
@@ -211,7 +211,7 @@ StatusOr<RangeReadResult> Ftl::ReadRange(uint64_t first_lpo, uint64_t count) {
     if (IsBuffered(entry)) {
       ++stats_.buffer_hits;
       ++result.buffer_hits;
-      result.latency += config_.buffer_read_latency;
+      result.latency += kBufferReadLatency;
       continue;
     }
     const FPageIndex fpage = config_.geometry.FPageOfSlot(entry);
@@ -346,7 +346,7 @@ Status Ftl::FlushIfReady(Stream stream, SimDuration& latency) {
           FlushToTarget(stream, /*allow_partial=*/false, latency));
       continue;
     }
-    if (f.buffer.size() > config_.write_buffer_opages) {
+    if (f.buffer.size() > kWriteBufferOPages) {
       // Buffer overflow (stale-entry bloat or tiny buffer): pad out a page.
       SALA_RETURN_IF_ERROR(
           FlushToTarget(stream, /*allow_partial=*/true, latency));
@@ -830,63 +830,6 @@ uint64_t Ftl::ForecastTiringOPages(double pec_horizon_fraction) const {
   return tiring;
 }
 
-Ftl::EventEstimate Ftl::EstimateNextEvent() const {
-  EventEstimate estimate;
-  const uint64_t block_opages =
-      static_cast<uint64_t>(config_.geometry.fpages_per_block) *
-      config_.geometry.opages_per_fpage;
-  const uint64_t watermark = config_.gc_low_watermark_blocks;
-  estimate.opages_to_gc_pressure =
-      free_blocks_ > watermark ? (free_blocks_ - watermark) * block_opages
-                               : 0;
-  // Wear horizon: P/E cycles of headroom on the most-worn in-service page.
-  // One more cycle on a block costs at least block_opages host writes (a
-  // full block program), so headroom-in-cycles converts to a write budget.
-  double min_cycles = -1.0;
-  for (FPageIndex fpage = 0; fpage < config_.geometry.total_fpages();
-       ++fpage) {
-    if (page_state_[fpage] != PageState::kInService) {
-      continue;
-    }
-    const unsigned level = page_level_[fpage];
-    const double retire_rber =
-        config_.retire_margin * ladder_[level].max_tolerable_rber;
-    const double retire_pec = chip_->PecUntilRber(fpage, retire_rber);
-    const double current_pec = static_cast<double>(
-        chip_->BlockPec(config_.geometry.BlockOfFPage(fpage)));
-    const double cycles = std::max(0.0, retire_pec - current_pec);
-    if (min_cycles < 0.0 || cycles < min_cycles) {
-      min_cycles = cycles;
-    }
-  }
-  if (min_cycles < 0.0) {
-    estimate.opages_to_wear_event = UINT64_MAX;
-  } else {
-    // Clamp before multiplying so pathological wear curves cannot overflow.
-    const double budget =
-        std::min(min_cycles, 1.0e15) * static_cast<double>(block_opages);
-    estimate.opages_to_wear_event =
-        budget >= 1.8e19 ? UINT64_MAX : static_cast<uint64_t>(budget);
-  }
-  // Bounded L2P: map-page write-back consumes program budget alongside host
-  // data, so N host oPages of headroom arrive sooner. Derate both horizons
-  // by the observed host share of total programs.
-  if (l2p_enabled() && l2p_stats_.map_writes > 0 && stats_.host_writes > 0) {
-    const double host = static_cast<double>(stats_.host_writes);
-    const double map_opages =
-        static_cast<double>(l2p_stats_.map_writes) *
-        config_.geometry.opages_per_fpage;
-    const double share = host / (host + map_opages);
-    estimate.opages_to_gc_pressure = static_cast<uint64_t>(
-        static_cast<double>(estimate.opages_to_gc_pressure) * share);
-    if (estimate.opages_to_wear_event != UINT64_MAX) {
-      estimate.opages_to_wear_event = static_cast<uint64_t>(
-          static_cast<double>(estimate.opages_to_wear_event) * share);
-    }
-  }
-  return estimate;
-}
-
 uint64_t Ftl::gc_reserve_opages() const {
   return static_cast<uint64_t>(config_.gc_low_watermark_blocks + 1) *
          config_.geometry.fpages_per_block * config_.geometry.opages_per_fpage;
@@ -1225,7 +1168,7 @@ void Ftl::JournalAppend(const JournalRecord& record) {
     CompactJournal();
   }
   journal_.Append(record);
-  if (journal_.unsynced() >= config_.journal_max_unsynced) {
+  if (journal_.unsynced() >= kJournalMaxUnsynced) {
     journal_.Sync();
   }
 }

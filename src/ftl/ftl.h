@@ -95,13 +95,6 @@ struct FtlConfig {
   // Garbage collection starts when the free-block pool drops to this size.
   uint32_t gc_low_watermark_blocks = 3;
 
-  // NV write-buffer capacity in oPages; a partial fPage is force-flushed
-  // when the buffer would overflow.
-  uint32_t write_buffer_opages = 64;
-
-  // Serving a read from the NV buffer.
-  SimDuration buffer_read_latency = 2 * kMicrosecond;
-
   // ---- Metadata journal (crash-restart recovery) -------------------------
   // Whether this FTL keeps a metadata journal at all. The journal exists only
   // where a power loss can reach the device: it is what SimulatePowerLoss
@@ -114,9 +107,6 @@ struct FtlConfig {
   // Journal region capacity in records; 0 = auto (sized to hold a full state
   // snapshot plus slack). The FTL compacts when the region fills.
   uint64_t journal_capacity_records = 0;
-  // Auto-sync the journal once this many records are unsynced; the unsynced
-  // tail is the bounded torn-write window at power loss.
-  uint64_t journal_max_unsynced = 32;
 
   // ---- Bounded L2P map cache (DRAM-resident map window) ------------------
   // Maximum L2P entries resident in DRAM at once. 0 = legacy unbounded map
@@ -206,6 +196,14 @@ class Ftl {
   // bounded by logical_opages(), far below this base, so the two namespaces
   // can never collide.
   static constexpr uint64_t kMapLpoBase = 1ULL << 62;
+  // NV write-buffer capacity in oPages; a partial fPage is force-flushed
+  // when the buffer would overflow.
+  static constexpr uint64_t kWriteBufferOPages = 64;
+  // Serving a read from the NV buffer.
+  static constexpr SimDuration kBufferReadLatency = 2 * kMicrosecond;
+  // The journal auto-syncs once this many records are unsynced; the unsynced
+  // tail is the bounded torn-write window at power loss.
+  static constexpr uint64_t kJournalMaxUnsynced = 32;
 
   explicit Ftl(const FtlConfig& config);
 
@@ -283,26 +281,6 @@ class Ftl {
   // their block's current P/E count (e.g. 0.1 = within ~10% more cycles).
   // O(total fPages); callers should cache between maintenance rounds.
   uint64_t ForecastTiringOPages(double pec_horizon_fraction) const;
-
-  // Next-event estimate for a discrete-event driver (see
-  // fleet/event_scheduler.h): how many more host oPage writes this FTL can
-  // absorb before each class of "interesting" state change could fire.
-  // Heuristics, not bounds — GC write amplification can bring an event
-  // forward, reclaim can push it back — so schedulers use them to *size*
-  // windows and diagnostics, never to skip the per-day draws that determinism
-  // depends on. O(total fPages), same cost as ForecastTiringOPages; callers
-  // should cache between maintenance rounds.
-  struct EventEstimate {
-    // Host oPage writes before free blocks could shrink to the GC low
-    // watermark, counting fresh-block programs only.
-    uint64_t opages_to_gc_pressure = 0;
-    // Host oPage writes before the most-worn in-service page could cross its
-    // retire threshold, if every write landed on that page's block.
-    // UINT64_MAX when no page is in service (all retired, revived-out, or
-    // dead) — no wear event is ever due then.
-    uint64_t opages_to_wear_event = 0;
-  };
-  EventEstimate EstimateNextEvent() const;
 
   // ---- Bounded L2P map cache ----------------------------------------------
 

@@ -13,7 +13,7 @@
 //    an injected torn write at power loss discards Uniform[1, unsynced]
 //    trailing records. A tear can never cross the sync barrier.
 //  * `Ftl::SyncJournal()` advances the barrier; the FTL auto-syncs every
-//    `FtlConfig::journal_max_unsynced` appends and on every host Flush().
+//    `Ftl::kJournalMaxUnsynced` appends and on every host Flush().
 //  * At capacity the FTL compacts: the journal is rewritten as a minimal
 //    description of current state (one kMap per mapped lpo, one kPageState
 //    per non-pristine page, three records per mDisk ever created) and the

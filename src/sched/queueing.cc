@@ -114,11 +114,6 @@ QueueAdmission DeviceQueue::Admit(OpClass cls, uint64_t now_ns) {
     if (config_.retry_jitter_ns > 0) {
       backoff += rng_.UniformU64(config_.retry_jitter_ns + 1);
     }
-    if (config_.retry_deadline_ns > 0 &&
-        result.backoff_ns + backoff > config_.retry_deadline_ns) {
-      ++stats_.shed_giveups;
-      return result;  // deadline would be blown; give up now
-    }
     ++stats_.shed_retries;
     ++result.retries;
     result.backoff_ns += backoff;

@@ -65,17 +65,13 @@ struct SchedConfig {
   // ---- Shed-retry policy ---------------------------------------------------
   // A shed op retries admission up to this many times; each retry waits a
   // capped-exponential backoff (which also drains the queue, so a retry can
-  // find room). The budget is the deadline proxy; retry_deadline_ns bounds
-  // total backoff explicitly when > 0.
+  // find room). The budget is the deadline proxy.
   uint32_t shed_retry_budget = 2;
   uint64_t retry_backoff_base_ns = 10000;  // 10 us, doubled per retry
   // Cap on the exponent before computing the delay (backoff saturates at
   // base << max_shift); prevents the wraparound a raw `base << attempt`
   // invites at high budgets.
   uint32_t retry_backoff_max_shift = 16;
-  // Give up early if accumulated backoff would exceed this deadline.
-  // 0 = no deadline (budget-bounded only).
-  uint64_t retry_deadline_ns = 0;
   // Uniform jitter in [0, retry_jitter_ns] added to each backoff, drawn from
   // the queue's dedicated forked stream. 0 = zero draws.
   uint64_t retry_jitter_ns = 0;

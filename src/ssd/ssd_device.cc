@@ -39,7 +39,7 @@ SsdConfig MakeSsdConfig(SsdKind kind, const FlashGeometry& geometry,
       geometry.fpages_per_block * geometry.opages_per_fpage;
   const uint64_t reserve = std::max(
       static_cast<uint64_t>(static_cast<double>(raw_opages) *
-                            config.minidisk.op_ratio),
+                            MinidiskManager::kOpRatio),
       gc_reserve);
   const uint64_t available = raw_opages > reserve ? raw_opages - reserve : 0;
 
@@ -113,27 +113,6 @@ double SsdDevice::HealthScore(double pec_horizon_fraction) const {
                               pec_horizon_fraction)) /
                               static_cast<double>(span));
   return capacity * (1.0 - tiring);
-}
-
-SsdDevice::EventEstimate SsdDevice::EstimateNextEvent() const {
-  EventEstimate estimate;
-  if (failed_) {
-    return estimate;
-  }
-  const Ftl::EventEstimate ftl_estimate = ftl_->EstimateNextEvent();
-  estimate.opages_to_gc_pressure = ftl_estimate.opages_to_gc_pressure;
-  estimate.opages_to_wear_event = ftl_estimate.opages_to_wear_event;
-  if (pending_event_depth() > 0) {
-    estimate.lifecycle_pending = true;
-  } else {
-    for (MinidiskId id = 0; id < manager_->total_minidisks(); ++id) {
-      if (manager_->minidisk(id).state == MinidiskState::kDraining) {
-        estimate.lifecycle_pending = true;
-        break;
-      }
-    }
-  }
-  return estimate;
 }
 
 StatusOr<SimDuration> SsdDevice::Write(MinidiskId mdisk, uint64_t lba) {

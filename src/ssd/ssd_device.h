@@ -145,18 +145,6 @@ class SsdDevice {
   const Ftl& ftl() const { return *ftl_; }
   const MinidiskManager& manager() const { return *manager_; }
 
-  // Device-level next-event estimate for a discrete-event driver: the FTL's
-  // write-budget heuristics plus whether mDisk lifecycle work (queued events,
-  // draining mDisks awaiting host acks) is already pending. A failed device
-  // reports zero budgets and no pending work — it will never fire an event
-  // again. See Ftl::EstimateNextEvent for the heuristic-not-bound caveat.
-  struct EventEstimate {
-    uint64_t opages_to_gc_pressure = 0;
-    uint64_t opages_to_wear_event = 0;
-    bool lifecycle_pending = false;
-  };
-  EventEstimate EstimateNextEvent() const;
-
   // Total host data written so far, in bytes (lifetime accounting).
   uint64_t bytes_written() const;
 

@@ -198,8 +198,4 @@ bool MetricRegistry::WriteJsonFile(const std::string& path) const {
   return WriteTextFile(path, ToJson());
 }
 
-bool MetricRegistry::WriteCsvFile(const std::string& path) const {
-  return WriteTextFile(path, ToCsv());
-}
-
 }  // namespace salamander

@@ -153,9 +153,8 @@ class MetricRegistry {
   // Long format: one "kind,name,field,value" row per exported scalar.
   std::string ToCsv() const;
 
-  // Writes ToJson()/ToCsv() to `path`; false on I/O failure.
+  // Writes ToJson() to `path`; false on I/O failure.
   bool WriteJsonFile(const std::string& path) const;
-  bool WriteCsvFile(const std::string& path) const;
 
   const std::map<std::string, Counter, std::less<>>& counters() const {
     return counters_;

@@ -1,6 +1,5 @@
 #include "telemetry/sampler.h"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -73,14 +72,6 @@ std::string TimeSeriesSampler::ToJson() const {
   }
   os << (series_.empty() ? "" : "\n  ") << "]\n}\n";
   return os.str();
-}
-
-bool TimeSeriesSampler::WriteCsvFile(const std::string& path) const {
-  return WriteTextFile(path, ToCsv());
-}
-
-bool TimeSeriesSampler::WriteJsonFile(const std::string& path) const {
-  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace salamander

@@ -48,8 +48,6 @@ class TimeSeriesSampler {
   std::string ToCsv() const;
   // {"series": [{"name": ..., "points": [[t, v], ...]}, ...]}
   std::string ToJson() const;
-  bool WriteCsvFile(const std::string& path) const;
-  bool WriteJsonFile(const std::string& path) const;
 
  private:
   std::vector<std::function<double()>> probes_;

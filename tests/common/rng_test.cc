@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace salamander {
 namespace {
@@ -184,8 +185,13 @@ INSTANTIATE_TEST_SUITE_P(
                       BinomialCase{100000, 0.002},   // normal path
                       BinomialCase{131072, 0.001}),  // flash page regime
     [](const ::testing::TestParamInfo<BinomialCase>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_p" +
-             std::to_string(static_cast<int>(param_info.param.p * 1e6));
+      // Appended piecewise: `"n" + std::to_string(...)` trips GCC 12's
+      // -Wrestrict false positive inside std::string's operator+.
+      std::string name = "n";
+      name += std::to_string(param_info.param.n);
+      name += "_p";
+      name += std::to_string(static_cast<int>(param_info.param.p * 1e6));
+      return name;
     });
 
 TEST(RngTest, PoissonMean) {

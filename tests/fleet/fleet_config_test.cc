@@ -113,35 +113,26 @@ TEST(FleetConfigDeathTest, DiesOnNegativeDwpdSigma) {
 }
 
 // Which configs can lose power — and therefore journal. Rack events need a
-// rack axis; the per-device path is `power_loss_per_device_day`, or the
-// injector's own power-loss site when per-device fault injection is on.
+// rack axis; the per-device path is `power_loss_per_device_day`.
 TEST(FleetPowerLossPredicateTest, Table) {
   struct Row {
     const char* name;
     FleetConfig config;
-    double device_power_loss;
     bool possible;
   };
   FleetConfig none = Valid();
-  none.device_faults.power_loss = 0.5;  // inert: injection is off
   none.domain.rack_power_loss_per_day = 0.5;  // inert: no rack axis
   FleetConfig rack = Valid();
   rack.domain.devices_per_rack = 2;
   rack.domain.rack_power_loss_per_day = 0.3;
   FleetConfig per_device = Valid();
   per_device.power_loss_per_device_day = 0.3;
-  FleetConfig injected = Valid();
-  injected.inject_device_faults = true;
-  injected.device_faults.power_loss = 0.4;
   const Row rows[] = {
-      {"none", none, 0.0, false},
-      {"rack events", rack, 0.0, true},
-      {"power_loss_per_device_day", per_device, 0.3, true},
-      {"inject_device_faults power_loss", injected, 0.4, true},
+      {"none", none, false},
+      {"rack events", rack, true},
+      {"power_loss_per_device_day", per_device, true},
   };
   for (const Row& row : rows) {
-    EXPECT_EQ(DevicePowerLossPerDay(row.config), row.device_power_loss)
-        << row.name;
     EXPECT_EQ(FleetPowerLossPossible(row.config), row.possible) << row.name;
     // Either way the fleet runs: a journaled fleet restarts from its
     // outages, an unjournaled one never reaches SimulatePowerLoss (which

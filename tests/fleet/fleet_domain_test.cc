@@ -195,7 +195,6 @@ TEST(FleetDomainTest, BitIdenticalAcrossThreadsAndEnginesAllKnobsOn) {
     config.domain.cohort_unavailable_per_day = 0.02;
     config.domain.cohort_unavailable_days = 1;
     config.domain.drain_health_threshold = 0.3;
-    config.scrub_opages_per_day = 64;
     config.threads = threads;
     config.scheduler = mode;
     FleetSim sim(config);

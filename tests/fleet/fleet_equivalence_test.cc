@@ -1,7 +1,7 @@
 // Exact-equivalence gate: the discrete-event engine must reproduce the
 // lockstep reference bit for bit — every snapshot, every per-device
 // StateDigest-backed FleetSim::DeviceDigest, every fleet accumulator
-// (scrub pacing, power-loss ledger), and every telemetry byte — over
+// (the power-loss ledger), and every telemetry byte — over
 // faulty universes chosen to flush out off-by-one drift when the scheduler
 // jumps over days (dark outages, dead tails, early fleet death).
 #include <gtest/gtest.h>
@@ -39,10 +39,6 @@ FleetConfig BaseFleet() {
 struct EngineRun {
   std::vector<FleetSnapshot> snapshots;
   std::vector<uint64_t> digests;
-  uint64_t scrub_reads = 0;
-  uint64_t scrub_detected = 0;
-  uint64_t scrub_repairs = 0;
-  uint64_t scrub_passes = 0;
   uint64_t power_losses = 0;
   uint64_t restarts = 0;
   uint64_t restart_failures = 0;
@@ -57,10 +53,6 @@ EngineRun RunEngine(FleetConfig config, FleetSchedulerMode mode,
   EngineRun run;
   run.snapshots = sim.Run();
   run.digests = sim.DeviceDigests();
-  run.scrub_reads = sim.scrub_reads_total();
-  run.scrub_detected = sim.scrub_detected_total();
-  run.scrub_repairs = sim.scrub_repairs_total();
-  run.scrub_passes = sim.scrub_passes_total();
   run.power_losses = sim.power_losses_total();
   run.restarts = sim.restarts_total();
   run.restart_failures = sim.restart_failures_total();
@@ -89,11 +81,7 @@ void ExpectEnginesEquivalent(const FleetConfig& config,
   EXPECT_EQ(event_mt.digests, lockstep.digests) << label;
 
   // Accumulator audit (the off-by-one hunting ground when days are skipped):
-  // scrub pacing and the power-loss ledger must match to the unit.
-  EXPECT_EQ(event.scrub_reads, lockstep.scrub_reads) << label;
-  EXPECT_EQ(event.scrub_detected, lockstep.scrub_detected) << label;
-  EXPECT_EQ(event.scrub_repairs, lockstep.scrub_repairs) << label;
-  EXPECT_EQ(event.scrub_passes, lockstep.scrub_passes) << label;
+  // the power-loss ledger must match to the unit.
   EXPECT_EQ(event.power_losses, lockstep.power_losses) << label;
   EXPECT_EQ(event.restarts, lockstep.restarts) << label;
   EXPECT_EQ(event.restart_failures, lockstep.restart_failures) << label;
@@ -113,16 +101,6 @@ TEST(FleetEquivalenceTest, EveryKindMatches) {
   }
 }
 
-TEST(FleetEquivalenceTest, ScrubUniverse) {
-  FleetConfig config = BaseFleet();
-  config.kind = SsdKind::kShrinkS;
-  config.scrub_opages_per_day = 32;
-  config.inject_device_faults = true;
-  config.device_faults.read_corrupt = 0.01;
-  config.device_faults.seed = 5;
-  ExpectEnginesEquivalent(config, "scrub");
-}
-
 // restart_days = 0 is the sharpest off-by-one trap: lockstep restarts the
 // *next* day (its dark check runs before the restart-day comparison), so the
 // scheduler's dark-day jump must land on day + 1, not day.
@@ -140,10 +118,6 @@ TEST(FleetEquivalenceTest, PowerLossUniverseAcrossRestartLatencies) {
 
 TEST(FleetEquivalenceTest, FaultyUniverseEverythingOn) {
   FleetConfig config = BaseFleet();
-  config.scrub_opages_per_day = 24;
-  config.inject_device_faults = true;
-  config.device_faults.read_corrupt = 0.005;
-  config.device_faults.seed = 11;
   config.power_loss_per_device_day = 0.02;
   config.power_loss_restart_days = 6;
   ExpectEnginesEquivalent(config, "everything-on");
@@ -187,7 +161,6 @@ TEST(FleetEquivalenceTest, TelemetryBytesMatchAcrossEngines) {
     config.kind = SsdKind::kShrinkS;
     config.power_loss_per_device_day = 0.02;
     config.power_loss_restart_days = 4;
-    config.scrub_opages_per_day = 16;
     config.scheduler = mode;
     TimeSeriesSampler sampler;
     TraceRecorder trace;

@@ -7,9 +7,8 @@
 //      internals, and thread scheduling.
 //   2. Sim-level: the event-driven engine produces bit-identical snapshots
 //      and per-device digests across --threads in {1, 2, 4, 8}, including
-//      universes with transient power loss (dark-day jumps) and background
-//      scrub (daily budget pacing) — the paths where a skipped or double-
-//      counted day would show up immediately.
+//      universes with transient power loss (dark-day jumps) — the path
+//      where a skipped or double-counted day would show up immediately.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,22 +115,6 @@ TEST(FleetSchedulerTest, ThreadCountInvariantPowerLossUniverse) {
     FleetConfig config = SchedulerFleet(SsdKind::kShrinkS, threads);
     config.power_loss_per_device_day = 0.02;
     config.power_loss_restart_days = 9;  // outages straddle sync windows
-    return config;
-  };
-  const RunResult serial = RunEventFleet(universe(1));
-  for (unsigned threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(RunEventFleet(universe(threads)), serial)
-        << "threads=" << threads;
-  }
-}
-
-TEST(FleetSchedulerTest, ThreadCountInvariantScrubUniverse) {
-  auto universe = [](unsigned threads) {
-    FleetConfig config = SchedulerFleet(SsdKind::kShrinkS, threads);
-    config.scrub_opages_per_day = 32;
-    config.inject_device_faults = true;
-    config.device_faults.read_corrupt = 0.01;
-    config.device_faults.seed = 5;
     return config;
   };
   const RunResult serial = RunEventFleet(universe(1));

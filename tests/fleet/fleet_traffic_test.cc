@@ -64,7 +64,6 @@ TEST(FleetTrafficTest, DisabledTrafficIgnoresTenantTemplate) {
   FleetConfig off_other_template = off;
   off_other_template.traffic.tenant.ops_per_day = 99999.0;
   off_other_template.traffic.tenant.zipf_theta = 0.5;
-  off_other_template.traffic.device_zipfian_fraction = 0.1;
   const RunResult a = RunFleet(off);
   const RunResult b = RunFleet(off_other_template);
   EXPECT_EQ(a.snapshots, b.snapshots);

@@ -93,46 +93,5 @@ TEST(ForecastTest, ProactiveDrainsStartEarlierThanReactive) {
   EXPECT_LE(proactive, reactive);
 }
 
-// ---------------------------------------------------------------------------
-// EstimateNextEvent — the discrete-event driver's write-budget hooks
-// ---------------------------------------------------------------------------
-
-TEST(ForecastTest, EstimateOnFreshDeviceSeesHeadroomEverywhere) {
-  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000);
-  Ftl ftl(config);
-  const Ftl::EventEstimate estimate = ftl.EstimateNextEvent();
-  // All blocks free, watermark far away: the GC budget is the whole free
-  // pool above the watermark, in oPages.
-  const uint64_t block_opages =
-      static_cast<uint64_t>(config.geometry.fpages_per_block) *
-      config.geometry.opages_per_fpage;
-  EXPECT_EQ(estimate.opages_to_gc_pressure,
-            (ftl.free_blocks() - config.gc_low_watermark_blocks) *
-                block_opages);
-  // Every page is in service from construction at PEC 0: the wear horizon is
-  // finite but far away (full nominal endurance in front of it).
-  EXPECT_GT(estimate.opages_to_wear_event, 0u);
-  EXPECT_NE(estimate.opages_to_wear_event, UINT64_MAX);
-}
-
-TEST(ForecastTest, EstimateShrinksAsDeviceAgesAndFills) {
-  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/40);
-  Ftl ftl(config);
-  ftl.ExtendLogicalSpace(512);
-  const Ftl::EventEstimate fresh_mapped = ftl.EstimateNextEvent();
-  for (uint64_t i = 0; i < 20000; ++i) {
-    if (!ftl.Write(i % 512).ok()) {
-      break;
-    }
-  }
-  const Ftl::EventEstimate aged = ftl.EstimateNextEvent();
-  // In-service pages now exist, so a wear event is on the horizon, and the
-  // horizon only shrinks as P/E cycles accumulate.
-  EXPECT_LT(aged.opages_to_wear_event, fresh_mapped.opages_to_wear_event);
-  EXPECT_NE(aged.opages_to_wear_event, UINT64_MAX);
-  // The free pool is consumed, so GC pressure moved closer too.
-  EXPECT_LE(aged.opages_to_gc_pressure, fresh_mapped.opages_to_gc_pressure);
-}
-
 }  // namespace
 }  // namespace salamander

@@ -139,22 +139,6 @@ TEST(DeviceQueueTest, ShedRetryBackoffDrainsQueueAndAdmits) {
   EXPECT_EQ(queue.stats().retry_backoff_ns, 10000u);
 }
 
-TEST(DeviceQueueTest, RetryDeadlineGivesUpEarly) {
-  SchedConfig config = EnabledConfig();
-  config.queue_depth = 1;
-  config.shed_retry_budget = 5;
-  config.retry_backoff_base_ns = 10000;
-  config.retry_deadline_ns = 5000;  // below even the first backoff
-  DeviceQueue queue(config, 1);
-  ASSERT_TRUE(queue.Admit(OpClass::kForegroundWrite, 0).admitted);
-  queue.Complete(OpClass::kForegroundWrite, 50000);
-  QueueAdmission a = queue.Admit(OpClass::kForegroundWrite, 0);
-  EXPECT_FALSE(a.admitted);
-  EXPECT_EQ(a.retries, 0u);
-  EXPECT_EQ(a.backoff_ns, 0u);
-  EXPECT_EQ(queue.stats().shed_giveups, 1u);
-}
-
 TEST(DeviceQueueTest, WaitHistogramTracksAdmissions) {
   DeviceQueue queue(EnabledConfig(), 1);
   for (int i = 0; i < 3; ++i) {

@@ -109,46 +109,5 @@ TEST(AgingWorkingSetTest, ZipfianSkewConcentratesWrites) {
   EXPECT_LT(zipf_distinct + 20, uniform_distinct);
 }
 
-// ---------------------------------------------------------------------------
-// EstimateNextEvent — device-level discrete-event hook
-// ---------------------------------------------------------------------------
-
-TEST(SsdDeviceExtrasTest, EstimateNextEventOnFreshAndWrittenDevice) {
-  SsdDevice device(SsdKind::kShrinkS,
-                   TestSsdConfig(SsdKind::kShrinkS, TinyGeometry(), 1000000));
-  device.TakeEvents();
-  const SsdDevice::EventEstimate fresh = device.EstimateNextEvent();
-  EXPECT_GT(fresh.opages_to_gc_pressure, 0u);
-  EXPECT_FALSE(fresh.lifecycle_pending);
-  ASSERT_TRUE(device.Write(0, 0).ok());
-  ASSERT_TRUE(device.Flush().ok());
-  const SsdDevice::EventEstimate written = device.EstimateNextEvent();
-  // Programmed flash puts pages in service: a wear horizon now exists.
-  EXPECT_NE(written.opages_to_wear_event, UINT64_MAX);
-}
-
-TEST(SsdDeviceExtrasTest, EstimateNextEventFlagsPendingLifecycleWork) {
-  SsdDevice device(SsdKind::kShrinkS,
-                   TestSsdConfig(SsdKind::kShrinkS, TinyGeometry(), 1000000));
-  // Construction queues kCreated announcements; until the host drains them
-  // the device has lifecycle work pending.
-  EXPECT_GT(device.pending_event_depth(), 0u);
-  EXPECT_TRUE(device.EstimateNextEvent().lifecycle_pending);
-  device.TakeEvents();
-  EXPECT_FALSE(device.EstimateNextEvent().lifecycle_pending);
-}
-
-TEST(SsdDeviceExtrasTest, EstimateNextEventZeroOnFailedDevice) {
-  SsdDevice device(SsdKind::kBaseline,
-                   TestSsdConfig(SsdKind::kBaseline, TinyGeometry(), 10));
-  device.TakeEvents();
-  device.Crash();
-  ASSERT_TRUE(device.failed());
-  const SsdDevice::EventEstimate estimate = device.EstimateNextEvent();
-  EXPECT_EQ(estimate.opages_to_gc_pressure, 0u);
-  EXPECT_EQ(estimate.opages_to_wear_event, 0u);
-  EXPECT_FALSE(estimate.lifecycle_pending);
-}
-
 }  // namespace
 }  // namespace salamander
