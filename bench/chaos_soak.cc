@@ -90,7 +90,6 @@ FaultConfig DeviceFaults(uint64_t seed, double power_loss_per_burst) {
   config.event_drop = 0.02;
   config.event_duplicate = 0.02;
   config.event_delay = 0.02;
-  config.event_delay_waves_max = 3;
   config.crash_during_drain = 0.00002;
   // Power-loss mode only: the harness draws LosesPower() once per device per
   // burst, and every resulting crash tears the journal tail more often than
@@ -107,7 +106,6 @@ FaultConfig DeviceFaults(uint64_t seed, double power_loss_per_burst) {
 FaultConfig ClusterFaults(uint64_t seed) {
   FaultConfig config;
   config.node_outage = 0.05;  // per maintenance tick
-  config.node_outage_ticks_max = 4;
   config.ack_drain_lost = 0.05;
   config.seed = seed;
   return config;

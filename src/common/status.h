@@ -28,7 +28,6 @@ enum class StatusCode {
   kInvalidArgument,    // caller bug: bad LBA, bad size, bad config
   kOutOfRange,         // address beyond the (possibly shrunken) device
   kNotFound,           // unmapped LBA, unknown minidisk, unknown chunk
-  kAlreadyExists,      // duplicate registration
   kFailedPrecondition, // operation illegal in current state (e.g. bricked)
   kResourceExhausted,  // no free flash pages / no spare blocks
   kCapacityExhausted,  // logical capacity shrank below what caller needs
@@ -92,8 +91,6 @@ inline std::string_view StatusCodeName(StatusCode code) {
       return "OUT_OF_RANGE";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
     case StatusCode::kResourceExhausted:
@@ -124,9 +121,6 @@ inline Status OutOfRangeError(std::string msg) {
 }
 inline Status NotFoundError(std::string msg) {
   return Status(StatusCode::kNotFound, std::move(msg));
-}
-inline Status AlreadyExistsError(std::string msg) {
-  return Status(StatusCode::kAlreadyExists, std::move(msg));
 }
 inline Status FailedPreconditionError(std::string msg) {
   return Status(StatusCode::kFailedPrecondition, std::move(msg));

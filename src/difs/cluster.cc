@@ -25,11 +25,7 @@ DifsCluster::DifsCluster(
                        .floor = 1,
                        .unit_opages = config.chunk_opages,
                        .ref_cell_bits = 0,
-                       .max_transient_retries = config.max_transient_retries,
-                       .transient_backoff_base_ns =
-                           config.transient_backoff_base_ns,
-                       .transient_backoff_max_shift =
-                           config.transient_backoff_max_shift,
+                       .retries_transient_errors = true,
                        .avoid_draining_devices = true,
                        .resync_repairs_are_events = true,
                        .wave_stats = true},

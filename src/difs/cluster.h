@@ -39,14 +39,6 @@ struct DifsConfig : ClusterConfig {
   // units"); Salamander devices set mSize equal to this.
   uint64_t chunk_opages = 64;
 
-  // Bounded retry with exponential backoff for kUnavailable device errors
-  // (busy planes). Backoff is simulated time, accumulated in stats.
-  uint32_t max_transient_retries = 4;
-  uint64_t transient_backoff_base_ns = 10000;  // 10 us, doubled per retry
-  // Cap on the exponent: retry r backs off base << min(r, max_shift),
-  // saturating — a raw `base << r` wraps at high max_transient_retries.
-  uint32_t transient_backoff_max_shift = 20;
-
   // Optional trace recorder (not owned; must outlive the cluster). The
   // cluster emits instant events — recovery waves, chunk losses, node
   // outages/rejoins — on lane `trace_tid`, timestamped with the simulated

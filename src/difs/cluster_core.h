@@ -39,6 +39,16 @@ namespace salamander {
 
 using UnitId = uint64_t;
 
+// Bounded retry for kUnavailable device errors (busy planes), replication
+// only: retry r backs off kTransientBackoffBaseNs << r of simulated time,
+// accumulated in ClusterStats::backoff_ns.
+inline constexpr uint32_t kMaxTransientRetries = 4;
+inline constexpr uint64_t kTransientBackoffBaseNs = 10000;  // 10 us
+// The largest shift the retry budget allows must not overflow `base << r`.
+static_assert((kTransientBackoffBaseNs << kMaxTransientRetries) >>
+                  kMaxTransientRetries ==
+              kTransientBackoffBaseNs);
+
 // Knobs both cluster flavors share (DifsConfig and EcConfig extend it).
 struct ClusterConfig {
   uint32_t nodes = 6;
@@ -322,11 +332,10 @@ class ClusterCore {
     uint64_t unit_opages;  // member size in oPages (chunk / cell)
     // Slot refs pack (unit << ref_cell_bits) | cell; 0 stores the unit id.
     uint32_t ref_cell_bits;
-    // Transient-retry policy for core-issued device ops; max_retries == 0
-    // issues each op exactly once and counts nothing.
-    uint32_t max_transient_retries;
-    uint64_t transient_backoff_base_ns;
-    uint32_t transient_backoff_max_shift;
+    // Retry core-issued device ops that fail kUnavailable (see
+    // kMaxTransientRetries); false issues each op exactly once and counts
+    // nothing.
+    bool retries_transient_errors;
     // PickTarget's inner pass that avoids devices with active drains.
     bool avoid_draining_devices;
     // Resync repairs triggered by dropped events count as delivered events.
@@ -564,25 +573,22 @@ class ClusterCore {
   static StatusCode ResultCode(const StatusOr<T>& result) {
     return result.status().code();
   }
-  // Runs `op`, retrying kUnavailable up to the scheme's max_transient_retries
-  // with capped exponential (simulated-time) backoff.
+  // Runs `op`; when the scheme retries transient errors, retries kUnavailable
+  // up to kMaxTransientRetries times with exponential (simulated-time)
+  // backoff.
   template <typename Op>
   auto WithTransientRetry(Op op) -> decltype(op()) {
     auto result = op();
-    if (scheme_.max_transient_retries == 0) {
+    if (!scheme_.retries_transient_errors) {
       return result;
     }
     ClusterStats& stats = core_stats();
     for (uint32_t retry = 0;
          ResultCode(result) == StatusCode::kUnavailable &&
-         retry < scheme_.max_transient_retries;
+         retry < kMaxTransientRetries;
          ++retry) {
       ++stats.transient_retries;
-      // Retry r waits base << r, with the shift capped (saturating) so high
-      // retry counts cannot wrap the accumulated backoff.
-      stats.backoff_ns +=
-          CappedBackoffNs(scheme_.transient_backoff_base_ns, retry,
-                          scheme_.transient_backoff_max_shift);
+      stats.backoff_ns += kTransientBackoffBaseNs << retry;
       result = op();
     }
     if (ResultCode(result) == StatusCode::kUnavailable) {

@@ -33,9 +33,7 @@ EcCluster::EcCluster(
                        .floor = config.data_cells,
                        .unit_opages = config.cell_opages,
                        .ref_cell_bits = 8,
-                       .max_transient_retries = 0,
-                       .transient_backoff_base_ns = 0,
-                       .transient_backoff_max_shift = 0,
+                       .retries_transient_errors = false,
                        .avoid_draining_devices = false,
                        .resync_repairs_are_events = false,
                        .wave_stats = false},

@@ -1,5 +1,9 @@
 #include "faults/fault_injector.h"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+
 namespace salamander {
 
 std::string_view FaultSiteName(FaultSite site) {
@@ -38,8 +42,45 @@ std::string_view FaultSiteName(FaultSite site) {
   return "unknown";
 }
 
+Status ValidateFaultConfig(const FaultConfig& config) {
+  const struct {
+    const char* name;
+    double p;
+  } probabilities[] = {
+      {"program_fail", config.program_fail},
+      {"erase_fail", config.erase_fail},
+      {"read_corrupt", config.read_corrupt},
+      {"transient_unavailable", config.transient_unavailable},
+      {"event_drop", config.event_drop},
+      {"event_duplicate", config.event_duplicate},
+      {"event_delay", config.event_delay},
+      {"crash_during_drain", config.crash_during_drain},
+      {"node_outage", config.node_outage},
+      {"ack_drain_lost", config.ack_drain_lost},
+      {"power_loss", config.power_loss},
+      {"torn_journal_write", config.torn_journal_write},
+      {"rack_power_loss", config.rack_power_loss},
+      {"cohort_unavailable", config.cohort_unavailable},
+  };
+  for (const auto& [name, p] : probabilities) {
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+      char buffer[128];
+      std::snprintf(buffer, sizeof(buffer),
+                    "FaultConfig: %s must be in [0, 1], got %g", name, p);
+      return InvalidArgumentError(buffer);
+    }
+  }
+  return OkStatus();
+}
+
 FaultInjector::FaultInjector(const FaultConfig& config, uint64_t stream_id)
     : config_(config), enabled_(true) {
+  const Status status = ValidateFaultConfig(config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "FaultInjector: invalid config: %s\n",
+                 status.message().c_str());
+    std::abort();
+  }
   // Same fork-in-id-order derivation the fleet uses for device streams:
   // walk the root forward `stream_id` forks, then take ours. Each injector
   // gets an independent family regardless of construction order.
@@ -92,10 +133,8 @@ uint32_t FaultInjector::EventDelayWaves() {
   if (!Draw(FaultSite::kEventDelay, config_.event_delay)) {
     return 0;
   }
-  const uint32_t max_waves =
-      config_.event_delay_waves_max > 0 ? config_.event_delay_waves_max : 1;
   return static_cast<uint32_t>(
-      stream(FaultSite::kEventDelay).UniformInRange(1, max_waves));
+      stream(FaultSite::kEventDelay).UniformInRange(1, kEventDelayWavesMax));
 }
 
 bool FaultInjector::CrashesDuringDrain() {
@@ -115,10 +154,8 @@ uint32_t FaultInjector::OutageNode(uint32_t node_count) {
 }
 
 uint32_t FaultInjector::OutageTicks() {
-  const uint32_t max_ticks =
-      config_.node_outage_ticks_max > 0 ? config_.node_outage_ticks_max : 1;
   return static_cast<uint32_t>(
-      stream(FaultSite::kNodeOutage).UniformInRange(1, max_ticks));
+      stream(FaultSite::kNodeOutage).UniformInRange(1, kNodeOutageTicksMax));
 }
 
 bool FaultInjector::LosesAckDrain() {

@@ -30,6 +30,7 @@
 #include <string_view>
 
 #include "common/rng.h"
+#include "common/status.h"
 
 namespace salamander {
 
@@ -69,16 +70,11 @@ struct FaultConfig {
   double event_drop = 0.0;             // per event leaving TakeEvents
   double event_duplicate = 0.0;        // per event leaving TakeEvents
   double event_delay = 0.0;            // per event leaving TakeEvents
-  // A delayed event matures after Uniform[1, event_delay_waves_max]
-  // subsequent TakeEvents calls.
-  uint32_t event_delay_waves_max = 3;
   // Per TakeEvents call while the device has draining mDisks: brick it.
   double crash_during_drain = 0.0;
 
   // ---- diFS layer (consulted by DifsCluster) -----------------------------
   double node_outage = 0.0;  // per cluster maintenance tick
-  // An outage lasts Uniform[1, node_outage_ticks_max] maintenance ticks.
-  uint32_t node_outage_ticks_max = 4;
   double ack_drain_lost = 0.0;  // per AckDrain send
 
   // ---- Crash-restart (consulted by the fleet sim / SsdDevice) ------------
@@ -93,6 +89,18 @@ struct FaultConfig {
 
   uint64_t seed = 0xc4a05f0011ec7edULL;
 };
+
+// A delayed event matures after Uniform[1, kEventDelayWavesMax] subsequent
+// TakeEvents calls.
+inline constexpr uint32_t kEventDelayWavesMax = 3;
+// A node outage lasts Uniform[1, kNodeOutageTicksMax] maintenance ticks.
+inline constexpr uint32_t kNodeOutageTicksMax = 4;
+static_assert(kEventDelayWavesMax >= 1 && kNodeOutageTicksMax >= 1);
+
+// kInvalidArgument naming the first probability that is not finite and in
+// [0, 1]. FaultInjector's constructor aborts on an invalid config in every
+// build mode.
+Status ValidateFaultConfig(const FaultConfig& config);
 
 // Injection counts per site, for assertions and soak reports.
 struct FaultStats {
@@ -121,7 +129,7 @@ class FaultInjector {
   // Enabled injector. `stream_id` selects an independent stream family from
   // the same config seed (one id per device in device-index order, a
   // distinct id for the cluster), mirroring Rng::Fork()'s fork-in-id-order
-  // discipline.
+  // discipline. Aborts when ValidateFaultConfig rejects `config`.
   FaultInjector(const FaultConfig& config, uint64_t stream_id);
 
   bool enabled() const { return enabled_; }

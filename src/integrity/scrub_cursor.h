@@ -1,10 +1,10 @@
-// Deterministic background-scrub cursor and pacing math.
+// Deterministic background-scrub cursor.
 //
-// A scrubber walks a flat address space (chunk replicas for the diFS,
-// mDisk oPages for a raw device) a fixed number of oPages per period.
-// The cursor is plain state — no RNG — so a scrub pass is bit-identical
-// across runs and thread counts; pacing follows §4.3's recovery-wear
-// accounting: scrub reads are real device reads and wear flash.
+// A scrubber walks a flat address space (the diFS's chunk replicas) a fixed
+// number of oPages per period. The cursor is plain state — no RNG — so a
+// scrub pass is bit-identical across runs and thread counts; following
+// §4.3's recovery-wear accounting, scrub reads are real device reads and
+// wear flash.
 #ifndef SALAMANDER_INTEGRITY_SCRUB_CURSOR_H_
 #define SALAMANDER_INTEGRITY_SCRUB_CURSOR_H_
 
@@ -47,31 +47,7 @@ struct ScrubCursor {
     major = (major + 1) % major_size;
     return major == 0;
   }
-
-  // Clamps the cursor after the address space shrank underneath it.
-  void Normalize(uint64_t major_size, uint64_t minor_size) {
-    if (major_size == 0 || major >= major_size) {
-      major = 0;
-      minor = 0;
-      return;
-    }
-    if (minor_size == 0 || minor >= minor_size) {
-      minor = 0;
-    }
-  }
 };
-
-// Days for one full scrub pass at `opages_per_day` over `total_opages`
-// (ceiling; 0 when scrub is disabled). The operator-facing pacing math:
-// a fleet device with 2^20 oPages scrubbed at 4096/day completes a pass
-// every 256 simulated days.
-inline uint64_t ScrubFullPassDays(uint64_t total_opages,
-                                  uint64_t opages_per_day) {
-  if (opages_per_day == 0) {
-    return 0;
-  }
-  return (total_opages + opages_per_day - 1) / opages_per_day;
-}
 
 }  // namespace salamander
 

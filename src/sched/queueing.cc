@@ -26,27 +26,11 @@ Status ValidateSchedConfig(const SchedConfig& config) {
     return InvalidArgumentError(
         "sched: arrival_interval_ns must be > 0 when queue_depth > 0");
   }
-  if (config.retry_backoff_max_shift > 63) {
-    return InvalidArgumentError(
-        "sched: retry_backoff_max_shift must be <= 63");
-  }
   if (config.slo_p99_ns > 0 && config.brownout_window_ops == 0) {
     return InvalidArgumentError(
         "sched: brownout_window_ops must be > 0 when slo_p99_ns > 0");
   }
   return OkStatus();
-}
-
-uint64_t CappedBackoffNs(uint64_t base_ns, uint32_t attempt,
-                         uint32_t max_shift) {
-  const uint32_t shift = std::min(attempt, max_shift);
-  if (base_ns == 0) {
-    return 0;
-  }
-  if (shift >= 64 || base_ns > (UINT64_MAX >> shift)) {
-    return UINT64_MAX;  // saturate instead of wrapping
-  }
-  return base_ns << shift;
 }
 
 DeviceQueue::DeviceQueue(const SchedConfig& config, uint64_t jitter_seed)
@@ -105,12 +89,11 @@ QueueAdmission DeviceQueue::Admit(OpClass cls, uint64_t now_ns) {
       return result;
     }
     ++stats_.sheds[c];
-    if (attempt >= config_.shed_retry_budget) {
+    if (attempt >= kShedRetryBudget) {
       ++stats_.shed_giveups;
       return result;
     }
-    uint64_t backoff = CappedBackoffNs(config_.retry_backoff_base_ns, attempt,
-                                       config_.retry_backoff_max_shift);
+    uint64_t backoff = kShedRetryBackoffBaseNs << attempt;
     if (config_.retry_jitter_ns > 0) {
       backoff += rng_.UniformU64(config_.retry_jitter_ns + 1);
     }

@@ -6,7 +6,7 @@
 // healthy device. DeviceQueue adds the missing contention: a simulated-time
 // priority queue per device, fed by the existing service costs. Ops are
 // admitted *before* they touch the device (bounded depth, counted sheds,
-// capped-exponential retry backoff with optional deterministic jitter) and
+// exponential retry backoff with optional deterministic jitter) and
 // enqueue their actual service time after execution, so the wait an op
 // reports is the backlog of everything at its priority or higher.
 //
@@ -63,17 +63,9 @@ struct SchedConfig {
   uint64_t arrival_interval_ns = 0;
 
   // ---- Shed-retry policy ---------------------------------------------------
-  // A shed op retries admission up to this many times; each retry waits a
-  // capped-exponential backoff (which also drains the queue, so a retry can
-  // find room). The budget is the deadline proxy.
-  uint32_t shed_retry_budget = 2;
-  uint64_t retry_backoff_base_ns = 10000;  // 10 us, doubled per retry
-  // Cap on the exponent before computing the delay (backoff saturates at
-  // base << max_shift); prevents the wraparound a raw `base << attempt`
-  // invites at high budgets.
-  uint32_t retry_backoff_max_shift = 16;
-  // Uniform jitter in [0, retry_jitter_ns] added to each backoff, drawn from
-  // the queue's dedicated forked stream. 0 = zero draws.
+  // Uniform jitter in [0, retry_jitter_ns] added to each shed-retry backoff
+  // (see kShedRetryBudget), drawn from the queue's dedicated forked stream.
+  // 0 = zero draws.
   uint64_t retry_jitter_ns = 0;
 
   // ---- Hedged reads --------------------------------------------------------
@@ -94,16 +86,20 @@ struct SchedConfig {
   bool enabled() const { return queue_depth > 0; }
 };
 
-// kInvalidArgument with a description when the knobs are inconsistent
-// (enabled with no arrival interval, shift > 63, brownout SLO with a zero
-// window). A disabled config (queue_depth == 0) is always valid.
-Status ValidateSchedConfig(const SchedConfig& config);
+// A shed op retries admission up to kShedRetryBudget times; retry r waits
+// kShedRetryBackoffBaseNs << r (plus jitter), which also drains the queue so
+// a retry can find room. The budget is the deadline proxy.
+inline constexpr uint32_t kShedRetryBudget = 2;
+inline constexpr uint64_t kShedRetryBackoffBaseNs = 10000;  // 10 us
+// The largest shift the budget allows must not overflow `base << r`.
+static_assert((kShedRetryBackoffBaseNs << kShedRetryBudget) >>
+                  kShedRetryBudget ==
+              kShedRetryBackoffBaseNs);
 
-// base_ns << min(attempt, max_shift), saturating at UINT64_MAX instead of
-// wrapping. Shared by DeviceQueue's shed-retry loop and DifsCluster's
-// transient-retry backoff.
-uint64_t CappedBackoffNs(uint64_t base_ns, uint32_t attempt,
-                         uint32_t max_shift);
+// kInvalidArgument with a description when the knobs are inconsistent
+// (enabled with no arrival interval, brownout SLO with a zero window). A
+// disabled config (queue_depth == 0) is always valid.
+Status ValidateSchedConfig(const SchedConfig& config);
 
 // Outcome of one admission attempt (including its shed-retry loop).
 struct QueueAdmission {
@@ -159,7 +155,7 @@ class DeviceQueue {
 
   // Admission control at simulated time `now_ns` (the queue first advances
   // to it). Sheds when the queue is at queue_depth; each shed retries after
-  // a capped-exponential backoff (plus jitter) that also drains the queue.
+  // an exponential backoff (plus jitter) that also drains the queue.
   QueueAdmission Admit(OpClass cls, uint64_t now_ns);
 
   // Enqueues the actual service cost of the op just admitted for `cls`.

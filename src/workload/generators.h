@@ -1,59 +1,23 @@
-// Synthetic workload address generators.
-//
-// Everything is deterministic given the Rng: uniform-random, sequential and
-// zipfian (YCSB-style) address streams, plus a read/write mix helper. These
-// drive the aging and performance benches.
+// Zipfian (YCSB-style) address generator, deterministic given the Rng. It
+// draws the hot/cold addresses of the aging driver and the traffic engine's
+// per-tenant object popularity.
 #ifndef SALAMANDER_WORKLOAD_GENERATORS_H_
 #define SALAMANDER_WORKLOAD_GENERATORS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/rng.h"
 
 namespace salamander {
 
-// Produces addresses in [0, space) — oPage offsets, LBAs, chunk ids, etc.
-class AddressGenerator {
- public:
-  virtual ~AddressGenerator() = default;
-  virtual uint64_t Next(Rng& rng) = 0;
-  virtual uint64_t space() const = 0;
-};
-
-class UniformGenerator final : public AddressGenerator {
- public:
-  explicit UniformGenerator(uint64_t space) : space_(space) {}
-  uint64_t Next(Rng& rng) override { return rng.UniformU64(space_); }
-  uint64_t space() const override { return space_; }
-
- private:
-  uint64_t space_;
-};
-
-class SequentialGenerator final : public AddressGenerator {
- public:
-  explicit SequentialGenerator(uint64_t space, uint64_t start = 0)
-      : space_(space), next_(start % (space == 0 ? 1 : space)) {}
-  uint64_t Next(Rng&) override {
-    const uint64_t current = next_;
-    next_ = (next_ + 1) % space_;
-    return current;
-  }
-  uint64_t space() const override { return space_; }
-
- private:
-  uint64_t space_;
-  uint64_t next_;
-};
-
 // Zipfian distribution over [0, space) using the Gray et al. rejection-free
 // inversion (the YCSB implementation): item 0 is the hottest.
-class ZipfianGenerator final : public AddressGenerator {
+class ZipfianGenerator {
  public:
   explicit ZipfianGenerator(uint64_t space, double theta = 0.99);
-  uint64_t Next(Rng& rng) override;
-  uint64_t space() const override { return space_; }
+  uint64_t Next(Rng& rng);
+  uint64_t space() const { return space_; }
   double theta() const { return theta_; }
 
   // Zeta(n, theta) = sum_{i=1..n} i^-theta, memoized per (n, theta) behind a
@@ -73,17 +37,6 @@ class ZipfianGenerator final : public AddressGenerator {
   double zeta_n_;
   double eta_;
   double zeta_two_;
-};
-
-// A read/write decision stream with a fixed read fraction.
-class OpMix {
- public:
-  explicit OpMix(double read_fraction) : read_fraction_(read_fraction) {}
-  bool NextIsRead(Rng& rng) const { return rng.Bernoulli(read_fraction_); }
-  double read_fraction() const { return read_fraction_; }
-
- private:
-  double read_fraction_;
 };
 
 }  // namespace salamander

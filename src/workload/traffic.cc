@@ -58,39 +58,10 @@ Status ValidateTenantConfig(const TenantConfig& config) {
     return InvalidArgumentError(
         "TenantConfig: ops_per_day must be finite and >= 0");
   }
-  if (!InUnitInterval(config.diurnal_amplitude)) {
-    return FractionError("TenantConfig: diurnal_amplitude",
-                         config.diurnal_amplitude);
-  }
-  if (!std::isfinite(config.diurnal_period_days) ||
-      config.diurnal_period_days <= 0.0) {
-    return InvalidArgumentError(
-        "TenantConfig: diurnal_period_days must be > 0");
-  }
   if (!std::isfinite(config.diurnal_phase) || config.diurnal_phase < 0.0 ||
       config.diurnal_phase >= 1.0) {
     return InvalidArgumentError(
         "TenantConfig: diurnal_phase must be in [0, 1)");
-  }
-  if (!std::isfinite(config.burst_on_fraction) ||
-      config.burst_on_fraction <= 0.0 || config.burst_on_fraction > 1.0) {
-    return InvalidArgumentError(
-        "TenantConfig: burst_on_fraction must be in (0, 1]");
-  }
-  if (!std::isfinite(config.burst_multiplier) ||
-      config.burst_multiplier < 1.0) {
-    return InvalidArgumentError(
-        "TenantConfig: burst_multiplier must be >= 1");
-  }
-  if (config.burst_on_fraction * config.burst_multiplier > 1.0 + 1e-9) {
-    return InvalidArgumentError(
-        "TenantConfig: burst_on_fraction * burst_multiplier must be <= 1 "
-        "(otherwise the off phase would need negative demand to preserve "
-        "the mean)");
-  }
-  if (!std::isfinite(config.burst_cycle_days) ||
-      config.burst_cycle_days <= 0.0) {
-    return InvalidArgumentError("TenantConfig: burst_cycle_days must be > 0");
   }
   if (!InUnitInterval(config.churn_per_day)) {
     return FractionError("TenantConfig: churn_per_day", config.churn_per_day);
@@ -166,10 +137,8 @@ TrafficEngine::TrafficEngine(const TrafficConfig& config,
     // (staggered starts); steady/diurnal tenants draw nothing here.
     if (tenant_config.arrival == ArrivalShape::kBursty) {
       tenant.burst_on = false;
-      const double off_days = tenant_config.burst_cycle_days *
-                              (1.0 - tenant_config.burst_on_fraction);
-      tenant.burst_days_left =
-          tenant.rng.Exponential(1.0 / std::max(off_days, 1e-9));
+      constexpr double kOffDays = kBurstCycleDays * (1.0 - kBurstOnFraction);
+      tenant.burst_days_left = tenant.rng.Exponential(1.0 / kOffDays);
     }
     // Analytic hot-set size: smallest rank prefix holding half the Zipf
     // mass. The partial-sum loop is bounded (<= objects, and in practice a
@@ -211,11 +180,9 @@ double TrafficEngine::AdvanceTenantToDay(TenantState& tenant, uint32_t day) {
       while (tenant.burst_days_left <= 0.0) {
         tenant.burst_on = !tenant.burst_on;
         const double mean_days =
-            config.burst_cycle_days *
-            (tenant.burst_on ? config.burst_on_fraction
-                             : 1.0 - config.burst_on_fraction);
-        tenant.burst_days_left +=
-            tenant.rng.Exponential(1.0 / std::max(mean_days, 1e-9));
+            kBurstCycleDays *
+            (tenant.burst_on ? kBurstOnFraction : 1.0 - kBurstOnFraction);
+        tenant.burst_days_left += tenant.rng.Exponential(1.0 / mean_days);
       }
     }
   }
@@ -224,21 +191,18 @@ double TrafficEngine::AdvanceTenantToDay(TenantState& tenant, uint32_t day) {
     case ArrivalShape::kSteady:
       break;
     case ArrivalShape::kDiurnal:
-      factor = 1.0 + config.diurnal_amplitude *
+      factor = 1.0 + kDiurnalAmplitude *
                          std::sin(2.0 * kPi *
                                   (static_cast<double>(day) /
-                                       config.diurnal_period_days +
+                                       kDiurnalPeriodDays +
                                    config.diurnal_phase));
       break;
     case ArrivalShape::kBursty: {
       // Off-phase demand is scaled so the long-run mean stays ops_per_day:
       // on_frac * mult + (1 - on_frac) * off = 1.
-      const double off =
-          config.burst_on_fraction >= 1.0
-              ? 1.0
-              : (1.0 - config.burst_on_fraction * config.burst_multiplier) /
-                    (1.0 - config.burst_on_fraction);
-      factor = tenant.burst_on ? config.burst_multiplier : std::max(off, 0.0);
+      constexpr double kOff = (1.0 - kBurstOnFraction * kBurstMultiplier) /
+                              (1.0 - kBurstOnFraction);
+      factor = tenant.burst_on ? kBurstMultiplier : kOff;
       break;
     }
   }

@@ -35,12 +35,30 @@ namespace salamander {
 
 // Per-day demand shape. All curves are sampled once per simulated day (the
 // fleet's time quantum), so the "diurnal" sinusoid models any periodic load
-// curve at day granularity — the default period is a 7-day week.
+// curve at day granularity — here a 7-day week.
 enum class ArrivalShape : uint8_t {
   kSteady = 0,   // constant mean
-  kDiurnal = 1,  // 1 + amplitude * sin(2*pi * (day/period + phase))
-  kBursty = 2,   // on/off renewal phases; `burst_multiplier` while on
+  kDiurnal = 1,  // 1 + kDiurnalAmplitude * sin(2*pi * (day/period + phase))
+  kBursty = 2,   // on/off renewal phases; kBurstMultiplier while on
 };
+
+// kDiurnal: relative swing and period in days.
+inline constexpr double kDiurnalAmplitude = 0.5;
+inline constexpr double kDiurnalPeriodDays = 7.0;
+static_assert(kDiurnalAmplitude >= 0.0 && kDiurnalAmplitude <= 1.0);
+static_assert(kDiurnalPeriodDays > 0.0);
+
+// kBursty: exponential on/off phases with mean cycle kBurstCycleDays; the on
+// phase covers kBurstOnFraction of the cycle at kBurstMultiplier x demand,
+// and the off phase is scaled down so the long-run mean stays ops_per_day.
+inline constexpr double kBurstOnFraction = 0.25;
+inline constexpr double kBurstMultiplier = 3.0;
+inline constexpr double kBurstCycleDays = 8.0;
+static_assert(kBurstOnFraction > 0.0 && kBurstOnFraction < 1.0);
+static_assert(kBurstMultiplier >= 1.0);
+// Otherwise the off phase would need negative demand to preserve the mean.
+static_assert(kBurstOnFraction * kBurstMultiplier <= 1.0);
+static_assert(kBurstCycleDays > 0.0);
 
 std::string_view ArrivalShapeName(ArrivalShape shape);
 
@@ -58,18 +76,8 @@ struct TenantConfig {
 
   ArrivalShape arrival = ArrivalShape::kSteady;
 
-  // kDiurnal: relative swing in [0, 1] and period in days (> 0).
-  double diurnal_amplitude = 0.5;
-  double diurnal_period_days = 7.0;
-  double diurnal_phase = 0.0;  // fraction of a period, in [0, 1)
-
-  // kBursty: exponential on/off phases with mean cycle `burst_cycle_days`;
-  // the on phase covers `burst_on_fraction` of the cycle at
-  // `burst_multiplier` x demand, and the off phase is scaled down so the
-  // long-run mean stays ops_per_day (requires on_fraction * multiplier <= 1).
-  double burst_on_fraction = 0.25;   // in (0, 1]
-  double burst_multiplier = 3.0;     // >= 1
-  double burst_cycle_days = 8.0;     // > 0
+  // kDiurnal: phase offset as a fraction of the period, in [0, 1).
+  double diurnal_phase = 0.0;
 
   // Fraction of the object space the popularity ranking drifts per day, in
   // [0, 1]. 0 freezes the hot set; 0.01 migrates it across the full

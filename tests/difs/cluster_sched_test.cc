@@ -135,8 +135,6 @@ TEST(ClusterSchedTest, BoundedDepthShedsAndLedgerReconciles) {
   SchedConfig sched;
   sched.queue_depth = 2;
   sched.arrival_interval_ns = 2 * kMicrosecond;
-  sched.shed_retry_budget = 1;
-  sched.retry_backoff_base_ns = 1 * kMicrosecond;
   DifsCluster cluster = MakeSchedCluster(sched);
   ASSERT_TRUE(cluster.Bootstrap().ok());
   uint64_t unavailable = 0;
@@ -325,8 +323,6 @@ TEST(ClusterSchedTest, EcBoundedDepthShedsAndLedgerReconciles) {
   SchedConfig sched;
   sched.queue_depth = 2;
   sched.arrival_interval_ns = 2 * kMicrosecond;
-  sched.shed_retry_budget = 1;
-  sched.retry_backoff_base_ns = 1 * kMicrosecond;
   EcCluster cluster = MakeSchedEcCluster(sched);
   ASSERT_TRUE(cluster.Bootstrap().ok());
   uint64_t unavailable = 0;

@@ -69,7 +69,6 @@ uint64_t InjectedReadCorrupt(EcCluster& cluster) {
 TEST(EcChaosTest, NodeOutageSkipsWritesAndRejoins) {
   EcChaosOptions options;
   options.cluster_faults.node_outage = 1.0;  // every maintenance tick
-  options.cluster_faults.node_outage_ticks_max = 2;
   options.cluster_faults.seed = 11;
   EcCluster cluster = MakeEcChaosCluster(options);
   ASSERT_TRUE(cluster.Bootstrap().ok());

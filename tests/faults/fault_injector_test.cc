@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace salamander {
@@ -106,27 +109,55 @@ TEST(FaultInjectorTest, StatsCountEachInjection) {
 TEST(FaultInjectorTest, DelayWavesWithinConfiguredBound) {
   FaultConfig config;
   config.event_delay = 1.0;
-  config.event_delay_waves_max = 3;
   FaultInjector injector(config, /*stream_id=*/0);
   for (int i = 0; i < 200; ++i) {
     const uint32_t waves = injector.EventDelayWaves();
     EXPECT_GE(waves, 1u);
-    EXPECT_LE(waves, 3u);
+    EXPECT_LE(waves, kEventDelayWavesMax);
   }
 }
 
 TEST(FaultInjectorTest, OutageNodeWithinRange) {
   FaultConfig config;
   config.node_outage = 1.0;
-  config.node_outage_ticks_max = 4;
   FaultInjector injector(config, /*stream_id=*/0);
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE(injector.StartsNodeOutage());
     EXPECT_LT(injector.OutageNode(6), 6u);
     const uint32_t ticks = injector.OutageTicks();
     EXPECT_GE(ticks, 1u);
-    EXPECT_LE(ticks, 4u);
+    EXPECT_LE(ticks, kNodeOutageTicksMax);
   }
+}
+
+TEST(FaultConfigTest, ProbabilitiesMustBeFiniteAndInUnitInterval) {
+  EXPECT_TRUE(ValidateFaultConfig(FaultConfig{}).ok());
+  EXPECT_TRUE(ValidateFaultConfig(AllSitesConfig()).ok());
+  FaultConfig config;
+  config.program_fail = 1.0;
+  config.cohort_unavailable = 1.0;
+  EXPECT_TRUE(ValidateFaultConfig(config).ok());
+  for (double p : {std::nan(""), -0.1, 1.5,
+                   std::numeric_limits<double>::infinity()}) {
+    config = FaultConfig{};
+    config.torn_journal_write = p;
+    const Status status = ValidateFaultConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << p;
+    EXPECT_NE(status.message().find("torn_journal_write"), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(FaultConfigDeathTest, InjectorDiesOnInvalidProbability) {
+  FaultConfig config;
+  config.node_outage = std::nan("");
+  EXPECT_DEATH(FaultInjector(config, /*stream_id=*/0), "invalid config");
+  config = FaultConfig{};
+  config.read_corrupt = -0.1;
+  EXPECT_DEATH(FaultInjector(config, /*stream_id=*/0), "invalid config");
+  config = FaultConfig{};
+  config.power_loss = 1.5;
+  EXPECT_DEATH(FaultInjector(config, /*stream_id=*/0), "invalid config");
 }
 
 TEST(FaultInjectorTest, SiteNamesAreStable) {

@@ -91,25 +91,5 @@ TEST(ScrubCursorTest, SkipMajorDropsRestOfUnit) {
   EXPECT_EQ(cursor.major, 0u);
 }
 
-TEST(ScrubCursorTest, NormalizeClampsAfterShrink) {
-  ScrubCursor cursor{.major = 5, .minor = 7};
-  cursor.Normalize(/*major_size=*/4, /*minor_size=*/8);
-  EXPECT_EQ(cursor.major, 0u);
-  EXPECT_EQ(cursor.minor, 0u);
-  cursor = ScrubCursor{.major = 2, .minor = 9};
-  cursor.Normalize(/*major_size=*/4, /*minor_size=*/8);
-  EXPECT_EQ(cursor.major, 2u);
-  EXPECT_EQ(cursor.minor, 0u);
-}
-
-TEST(ScrubCursorTest, FullPassDaysIsCeilingAndZeroWhenDisabled) {
-  EXPECT_EQ(ScrubFullPassDays(/*total_opages=*/1024, /*opages_per_day=*/0),
-            0u);
-  EXPECT_EQ(ScrubFullPassDays(1024, 1024), 1u);
-  EXPECT_EQ(ScrubFullPassDays(1025, 1024), 2u);
-  // The DESIGN.md pacing example: 2^20 oPages at 4096/day = 256 days.
-  EXPECT_EQ(ScrubFullPassDays(1ull << 20, 4096), 256u);
-}
-
 }  // namespace
 }  // namespace salamander

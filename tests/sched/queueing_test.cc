@@ -12,9 +12,6 @@ SchedConfig EnabledConfig() {
   SchedConfig config;
   config.queue_depth = 4;
   config.arrival_interval_ns = 1000;
-  config.shed_retry_budget = 2;
-  config.retry_backoff_base_ns = 10000;
-  config.retry_backoff_max_shift = 16;
   return config;
 }
 
@@ -31,39 +28,12 @@ TEST(QueueingConfigTest, EnabledRequiresArrivalInterval) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(QueueingConfigTest, RejectsShiftAbove63) {
-  SchedConfig config = EnabledConfig();
-  config.retry_backoff_max_shift = 64;
-  EXPECT_EQ(ValidateSchedConfig(config).code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(QueueingConfigTest, BrownoutNeedsWindow) {
   SchedConfig config = EnabledConfig();
   config.slo_p99_ns = 1000000;
   config.brownout_window_ops = 0;
   EXPECT_EQ(ValidateSchedConfig(config).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(CappedBackoffTest, DoublesBelowCap) {
-  EXPECT_EQ(CappedBackoffNs(10000, 0, 16), 10000u);
-  EXPECT_EQ(CappedBackoffNs(10000, 1, 16), 20000u);
-  EXPECT_EQ(CappedBackoffNs(10000, 3, 16), 80000u);
-}
-
-TEST(CappedBackoffTest, SaturatesAtCapShift) {
-  // Attempts beyond the cap keep returning the capped value.
-  EXPECT_EQ(CappedBackoffNs(10000, 16, 16), 10000ull << 16);
-  EXPECT_EQ(CappedBackoffNs(10000, 40, 16), 10000ull << 16);
-  EXPECT_EQ(CappedBackoffNs(10000, 63, 16), 10000ull << 16);
-}
-
-TEST(CappedBackoffTest, SaturatesInsteadOfWrapping) {
-  // A raw `base << attempt` would wrap here; the capped form saturates.
-  EXPECT_EQ(CappedBackoffNs(1ull << 50, 40, 63), UINT64_MAX);
-  EXPECT_EQ(CappedBackoffNs(3, 63, 63), UINT64_MAX);
-  EXPECT_EQ(CappedBackoffNs(0, 63, 63), 0u);
 }
 
 TEST(DeviceQueueTest, EmptyQueueAdmitsWithZeroWait) {
@@ -106,24 +76,25 @@ TEST(DeviceQueueTest, AdvanceDrainsHighestPriorityFirst) {
 TEST(DeviceQueueTest, BoundedDepthShedsAndCounts) {
   SchedConfig config = EnabledConfig();
   config.queue_depth = 2;
-  config.shed_retry_budget = 0;
   DeviceQueue queue(config, 1);
+  // Backlogs far longer than every retry backoff together: the queue stays
+  // full through the whole retry budget.
   ASSERT_TRUE(queue.Admit(OpClass::kForegroundWrite, 0).admitted);
-  queue.Complete(OpClass::kForegroundWrite, 1000);
+  queue.Complete(OpClass::kForegroundWrite, 1u << 30);
   ASSERT_TRUE(queue.Admit(OpClass::kForegroundWrite, 0).admitted);
-  queue.Complete(OpClass::kForegroundWrite, 1000);
+  queue.Complete(OpClass::kForegroundWrite, 1u << 30);
   QueueAdmission a = queue.Admit(OpClass::kForegroundWrite, 0);
   EXPECT_FALSE(a.admitted);
-  EXPECT_EQ(queue.stats().sheds[1], 1u);
+  EXPECT_EQ(a.retries, kShedRetryBudget);
+  // One shed for the first attempt and one per retry.
+  EXPECT_EQ(queue.stats().sheds[1], kShedRetryBudget + 1u);
   EXPECT_EQ(queue.stats().shed_giveups, 1u);
-  EXPECT_EQ(queue.stats().shed_retries, 0u);
+  EXPECT_EQ(queue.stats().shed_retries, kShedRetryBudget);
 }
 
 TEST(DeviceQueueTest, ShedRetryBackoffDrainsQueueAndAdmits) {
   SchedConfig config = EnabledConfig();
   config.queue_depth = 1;
-  config.shed_retry_budget = 3;
-  config.retry_backoff_base_ns = 10000;
   DeviceQueue queue(config, 1);
   ASSERT_TRUE(queue.Admit(OpClass::kForegroundWrite, 0).admitted);
   queue.Complete(OpClass::kForegroundWrite, 5000);
@@ -131,12 +102,12 @@ TEST(DeviceQueueTest, ShedRetryBackoffDrainsQueueAndAdmits) {
   QueueAdmission a = queue.Admit(OpClass::kForegroundWrite, 0);
   EXPECT_TRUE(a.admitted);
   EXPECT_EQ(a.retries, 1u);
-  EXPECT_EQ(a.backoff_ns, 10000u);
+  EXPECT_EQ(a.backoff_ns, kShedRetryBackoffBaseNs);
   EXPECT_EQ(a.wait_ns, 0u);  // the queue drained during the backoff
   EXPECT_EQ(queue.stats().sheds[1], 1u);
   EXPECT_EQ(queue.stats().shed_retries, 1u);
   EXPECT_EQ(queue.stats().shed_giveups, 0u);
-  EXPECT_EQ(queue.stats().retry_backoff_ns, 10000u);
+  EXPECT_EQ(queue.stats().retry_backoff_ns, kShedRetryBackoffBaseNs);
 }
 
 TEST(DeviceQueueTest, WaitHistogramTracksAdmissions) {
@@ -173,19 +144,28 @@ TEST(BrownoutTest, DisabledNeverActivates) {
 TEST(QueueMetricsTest, CollectExportsCountersGaugesHistogram) {
   SchedConfig config = EnabledConfig();
   config.queue_depth = 1;
-  config.shed_retry_budget = 0;
   DeviceQueue queue(config, 1);
+  // A read that outlasts every shed-retry backoff keeps the scrub out.
+  constexpr uint64_t kReadNs = 1000000000;
   ASSERT_TRUE(queue.Admit(OpClass::kForegroundRead, 0).admitted);
-  queue.Complete(OpClass::kForegroundRead, 777);
+  queue.Complete(OpClass::kForegroundRead, kReadNs);
   EXPECT_FALSE(queue.Admit(OpClass::kScrub, 0).admitted);
+  const uint64_t backoff_ns = queue.stats().retry_backoff_ns;
+  EXPECT_EQ(backoff_ns,
+            kShedRetryBackoffBaseNs + (kShedRetryBackoffBaseNs << 1));
 
   MetricRegistry registry;
   CollectDeviceQueueMetrics(queue, registry, "dev.");
   EXPECT_EQ(registry.FindCounter("dev.sched.submitted.fg_read")->value(), 1u);
-  EXPECT_EQ(registry.FindCounter("dev.sched.sheds.scrub")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("dev.sched.sheds.scrub")->value(),
+            kShedRetryBudget + 1u);
   EXPECT_EQ(registry.FindCounter("dev.sched.shed_giveups")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("dev.sched.retry_backoff_ns")->value(),
+            backoff_ns);
   EXPECT_EQ(registry.FindGauge("dev.sched.depth")->value(), 1.0);
-  EXPECT_EQ(registry.FindGauge("dev.sched.backlog_ns")->value(), 777.0);
+  // The retries advanced the clock, draining that much of the read.
+  EXPECT_EQ(registry.FindGauge("dev.sched.backlog_ns")->value(),
+            static_cast<double>(kReadNs - backoff_ns));
   EXPECT_EQ(registry.FindHistogram("dev.sched.wait_ns")->data().count(), 1u);
 }
 
@@ -238,16 +218,17 @@ TEST(SchedDeterminismTest, JitterSeedInvisibleWhenJitterDisabled) {
 
 TEST(SchedDeterminismTest, JitterChangesBackoffOnlyThroughItsOwnStream) {
   // Same seed, jitter on vs off: admissions may differ, but the jitter-off
-  // run's backoffs are exactly the capped-exponential schedule.
+  // run's backoffs are exactly the exponential schedule.
   SchedConfig config = EnabledConfig();
   config.queue_depth = 1;
-  config.shed_retry_budget = 2;
   DeviceQueue queue(config, 7);
   ASSERT_TRUE(queue.Admit(OpClass::kForegroundWrite, 0).admitted);
   queue.Complete(OpClass::kForegroundWrite, 1u << 30);  // huge backlog
   QueueAdmission a = queue.Admit(OpClass::kForegroundWrite, 0);
   EXPECT_FALSE(a.admitted);
-  EXPECT_EQ(a.backoff_ns, 10000u + 20000u);  // base + base<<1, no jitter
+  // base + base<<1 over the two-retry budget, no jitter.
+  EXPECT_EQ(a.backoff_ns,
+            kShedRetryBackoffBaseNs + (kShedRetryBackoffBaseNs << 1));
 }
 
 }  // namespace

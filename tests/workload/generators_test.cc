@@ -7,31 +7,6 @@
 namespace salamander {
 namespace {
 
-TEST(UniformGeneratorTest, StaysInRange) {
-  UniformGenerator gen(100);
-  Rng rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_LT(gen.Next(rng), 100u);
-  }
-}
-
-TEST(SequentialGeneratorTest, WrapsAround) {
-  SequentialGenerator gen(5);
-  Rng rng(1);
-  std::vector<uint64_t> seen;
-  for (int i = 0; i < 12; ++i) {
-    seen.push_back(gen.Next(rng));
-  }
-  EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1}));
-}
-
-TEST(SequentialGeneratorTest, StartOffset) {
-  SequentialGenerator gen(10, 7);
-  Rng rng(1);
-  EXPECT_EQ(gen.Next(rng), 7u);
-  EXPECT_EQ(gen.Next(rng), 8u);
-}
-
 TEST(ZipfianGeneratorTest, StaysInRange) {
   ZipfianGenerator gen(1000);
   Rng rng(2);
@@ -76,27 +51,6 @@ TEST(ZipfianGeneratorTest, SpaceOfOne) {
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(gen.Next(rng), 0u);
-  }
-}
-
-TEST(OpMixTest, RespectsReadFraction) {
-  OpMix mix(0.7);
-  Rng rng(6);
-  int reads = 0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) {
-    reads += mix.NextIsRead(rng) ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(reads) / kN, 0.7, 0.01);
-}
-
-TEST(OpMixTest, DegenerateFractions) {
-  Rng rng(7);
-  OpMix all_reads(1.0);
-  OpMix all_writes(0.0);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(all_reads.NextIsRead(rng));
-    EXPECT_FALSE(all_writes.NextIsRead(rng));
   }
 }
 

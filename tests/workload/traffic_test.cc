@@ -66,9 +66,6 @@ TEST(TrafficValidationTest, FractionFieldsRejectOutOfRange) {
   tenant.read_fraction = -0.1;
   EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
   tenant = TenantConfig{};
-  tenant.diurnal_amplitude = 2.0;
-  EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
-  tenant = TenantConfig{};
   tenant.churn_per_day = 1.0001;
   EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
 }
@@ -79,9 +76,6 @@ TEST(TrafficValidationTest, NonFiniteFieldsRejected) {
   EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
   tenant = TenantConfig{};
   tenant.ops_per_day = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
-  tenant = TenantConfig{};
-  tenant.diurnal_period_days = 0.0;
   EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
 }
 
@@ -94,26 +88,24 @@ TEST(TrafficValidationTest, DiurnalPhaseMustBeHalfOpen) {
 }
 
 TEST(TrafficValidationTest, BurstMeanPreservationEnforced) {
-  // on_fraction * multiplier > 1 would need negative off-phase demand.
-  TenantConfig tenant;
-  tenant.burst_on_fraction = 0.5;
-  tenant.burst_multiplier = 3.0;
-  const Status status = ValidateTenantConfig(tenant);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  tenant.burst_multiplier = 2.0;  // exactly 1.0: allowed
-  EXPECT_TRUE(ValidateTenantConfig(tenant).ok());
-}
-
-TEST(TrafficValidationTest, BurstFieldRanges) {
-  TenantConfig tenant;
-  tenant.burst_on_fraction = 0.0;
-  EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
-  tenant = TenantConfig{};
-  tenant.burst_multiplier = 0.5;
-  EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
-  tenant = TenantConfig{};
-  tenant.burst_cycle_days = 0.0;
-  EXPECT_FALSE(ValidateTenantConfig(tenant).ok());
+  // The burst shape's static_asserts keep on_fraction * multiplier <= 1, so
+  // the scaled-down off phase preserves the long-run mean: over ~1000 burst
+  // cycles a bursty tenant's demand averages ops_per_day.
+  TrafficConfig config;
+  config.seed = 21;
+  TenantConfig tenant = SmallTenant();
+  tenant.ops_per_day = 1000.0;
+  tenant.read_fraction = 0.0;
+  tenant.arrival = ArrivalShape::kBursty;
+  config.tenants = {tenant};
+  TrafficEngine engine(config, 1 << 16);
+  constexpr uint32_t kDays = 8000;
+  uint64_t writes = 0;
+  for (uint32_t day = 0; day < kDays; ++day) {
+    writes += engine.DayWriteDemand(day);
+  }
+  EXPECT_NEAR(static_cast<double>(writes) / kDays, tenant.ops_per_day,
+              0.1 * tenant.ops_per_day);
 }
 
 TEST(TrafficValidationTest, EmptyTenantListRejected) {
@@ -319,16 +311,17 @@ TEST(TrafficEngineTest, DiurnalDemandSwings) {
   TenantConfig tenant = SmallTenant();
   tenant.ops_per_day = 20000.0;  // large mean: Poisson noise ~0.7%
   tenant.arrival = ArrivalShape::kDiurnal;
-  tenant.diurnal_amplitude = 0.5;
-  tenant.diurnal_period_days = 4.0;  // peak at day 1, trough at day 3
   config.tenants = {tenant};
   TrafficEngine engine(config, 1 << 16);
   std::vector<uint64_t> per_day;
-  for (uint32_t day = 0; day < 4; ++day) {
+  for (uint32_t day = 0; day < 7; ++day) {
     per_day.push_back(engine.EmitDay(day, nullptr));
   }
-  // sin peak (1.5x) vs trough (0.5x): a 3x ratio, far beyond noise.
-  EXPECT_GT(per_day[1], per_day[3] * 2);
+  // The 7-day sinusoid peaks at day 1.75 and bottoms out at day 5.25; the
+  // nearest whole days sit at ~1.49x and ~0.51x, a ~2.9x ratio far beyond
+  // noise.
+  static_assert(kDiurnalPeriodDays == 7.0 && kDiurnalAmplitude == 0.5);
+  EXPECT_GT(per_day[2], per_day[5] * 2);
 }
 
 TEST(TrafficEngineTest, BurstyDemandAlternates) {
@@ -337,9 +330,6 @@ TEST(TrafficEngineTest, BurstyDemandAlternates) {
   TenantConfig tenant = SmallTenant();
   tenant.ops_per_day = 5000.0;
   tenant.arrival = ArrivalShape::kBursty;
-  tenant.burst_on_fraction = 0.25;
-  tenant.burst_multiplier = 3.0;
-  tenant.burst_cycle_days = 8.0;
   config.tenants = {tenant};
   TrafficEngine engine(config, 1 << 16);
   uint64_t min_day = UINT64_MAX;
@@ -349,8 +339,9 @@ TEST(TrafficEngineTest, BurstyDemandAlternates) {
     min_day = std::min(min_day, ops);
     max_day = std::max(max_day, ops);
   }
-  // On-phase demand is 3x the mean, off-phase is 2/3x: the spread must
+  // On-phase demand is 3x the mean, off-phase is 1/3x: the spread must
   // show both regimes.
+  static_assert(kBurstMultiplier == 3.0 && kBurstOnFraction == 0.25);
   EXPECT_GT(max_day, 12000u);
   EXPECT_LT(min_day, 5000u);
 }
