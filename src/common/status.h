@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -42,19 +43,28 @@ enum class StatusCode {
 std::string_view StatusCodeName(StatusCode code);
 
 // A success-or-error result with an optional diagnostic message.
-// Cheap to copy in the OK case (no allocation).
+// The message lives in a shared immutable string that is null when there is
+// none, so an OK status is a code plus a null pointer: building, copying and
+// destroying one never touches the heap. Copying an error status shares its
+// message instead of copying it.
 class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   explicit Status(StatusCode code) : code_(code) {}
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  Status(StatusCode code, std::string message) : code_(code) {
+    if (!message.empty()) {
+      message_ = std::make_shared<const std::string>(std::move(message));
+    }
+  }
 
   static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    static const std::string kEmpty;
+    return message_ ? *message_ : kEmpty;
+  }
 
   // Full "CODE: message" rendering for logs and test failure output.
   std::string ToString() const;
@@ -65,7 +75,7 @@ class [[nodiscard]] Status {
 
  private:
   StatusCode code_;
-  std::string message_;
+  std::shared_ptr<const std::string> message_;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {
@@ -74,9 +84,9 @@ inline std::ostream& operator<<(std::ostream& os, const Status& s) {
 
 inline std::string Status::ToString() const {
   std::string out(StatusCodeName(code_));
-  if (!message_.empty()) {
+  if (message_) {
     out += ": ";
-    out += message_;
+    out += *message_;
   }
   return out;
 }

@@ -2,9 +2,46 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace salamander {
+
+namespace {
+
+const MinidiskConfig& RequireValidMinidiskConfig(
+    const MinidiskConfig& config) {
+  const Status status = ValidateMinidiskConfig(config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "MinidiskManager: invalid config: %s\n",
+                 status.message().c_str());
+    std::abort();
+  }
+  return config;
+}
+
+uint64_t ReserveOPages(const Ftl& ftl) {
+  const uint64_t raw = ftl.config().geometry.total_opages();
+  const uint64_t op_reserve = static_cast<uint64_t>(
+      static_cast<double>(raw) * MinidiskManager::kOpRatio);
+  return std::max(op_reserve, ftl.gc_reserve_opages());
+}
+
+}  // namespace
+
+Status ValidateMinidiskConfig(const MinidiskConfig& config) {
+  if (config.msize_opages == 0) {
+    return InvalidArgumentError("msize_opages must be >= 1");
+  }
+  if (!std::isfinite(config.drain_forecast_horizon) ||
+      config.drain_forecast_horizon < 0.0) {
+    return InvalidArgumentError(
+        "drain_forecast_horizon must be finite and >= 0");
+  }
+  return OkStatus();
+}
 
 // Soft horizon for starting grace drains: leave enough slack that drains can
 // complete (be re-replicated and acked) before the hard deficit arrives.
@@ -16,9 +53,11 @@ static uint64_t DrainHeadroom(const MinidiskConfig& config) {
 }
 
 MinidiskManager::MinidiskManager(Ftl* ftl, const MinidiskConfig& config)
-    : ftl_(ftl), config_(config), rng_(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL) {
+    : ftl_(ftl),
+      config_(RequireValidMinidiskConfig(config)),
+      rng_(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL),
+      reserve_opages_(ReserveOPages(*ftl)) {
   assert(ftl_ != nullptr);
-  assert(config_.msize_opages > 0);
   FormatDevice();
 }
 
@@ -26,7 +65,7 @@ void MinidiskManager::FormatDevice() {
   const uint64_t usable = ftl_->usable_opages();
   // A drain-capable device withholds headroom for in-flight drains, whose
   // data occupies flash after the mDisk stops being advertised capacity.
-  const uint64_t reserve = ReserveOPages() + DrainHeadroom(config_);
+  const uint64_t reserve = reserve_opages_ + DrainHeadroom(config_);
   const uint64_t available = usable > reserve ? usable - reserve : 0;
   const uint64_t count = available / config_.msize_opages;
   for (uint64_t i = 0; i < count; ++i) {
@@ -146,21 +185,22 @@ StatusOr<RangeReadResult> MinidiskManager::ReadRange(MinidiskId mdisk,
   return ftl_->ReadRange(minidisks_[mdisk].first_lpo + lba, count);
 }
 
-uint64_t MinidiskManager::ReserveOPages() const {
-  const uint64_t raw = ftl_->config().geometry.total_opages();
-  const uint64_t op_reserve =
-      static_cast<uint64_t>(static_cast<double>(raw) * kOpRatio);
-  return std::max(op_reserve, ftl_->gc_reserve_opages());
-}
-
 bool MinidiskManager::CapacityDeficit() const {
   // Draining mDisks no longer count as advertised capacity but their data
   // still occupies flash until the drain finishes.
   return ftl_->usable_opages() <
-         live_logical_opages_ + draining_logical_opages_ + ReserveOPages();
+         live_logical_opages_ + draining_logical_opages_ + reserve_opages_;
 }
 
 void MinidiskManager::RunCapacityMaintenance() {
+  // The common case after a host write: no transition to drain, no deficit
+  // to shed, less than an mDisk of limbo to regenerate, and no drain policy
+  // to consult. Every loop below would then do nothing.
+  if (!config_.drain_before_decommission && !ftl_->HasTransitions() &&
+      !CapacityDeficit() &&
+      ftl_->reclaimable_limbo_opages() < config_.msize_opages) {
+    return;
+  }
   // Drain transitions first: their only role here is ordering (the FTL
   // already updated its accounting); keeping the queue short bounds memory.
   ftl_->TakeTransitions();
@@ -192,7 +232,7 @@ void MinidiskManager::RunCapacityMaintenance() {
            draining_.size() < config_.max_draining &&
            ftl_->usable_opages() < live_logical_opages_ +
                                        draining_logical_opages_ +
-                                       ReserveOPages() +
+                                       reserve_opages_ +
                                        DrainHeadroom(config_) + forecast) {
       Decommission(PickVictim());  // starts a drain
     }

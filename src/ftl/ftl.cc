@@ -337,6 +337,19 @@ Status Ftl::BufferWrite(uint64_t lpo, Stream stream, SimDuration& latency) {
 
 Status Ftl::FlushIfReady(Stream stream, SimDuration& latency) {
   Frontier& f = frontier(stream);
+  // Most calls find nothing to do. When the cursor page of the active block
+  // is in service, NextProgramTarget would return it with no side effects,
+  // so the loop's first pass is decided here without the call: a buffer that
+  // neither fills that page nor overflows stays buffered.
+  if (f.has_active_block && f.next_page < config_.geometry.fpages_per_block) {
+    const FPageIndex cursor =
+        config_.geometry.FirstFPageOfBlock(f.active_block) + f.next_page;
+    if (page_state_[cursor] == PageState::kInService &&
+        f.buffer_valid < PageCapacity(cursor) &&
+        f.buffer.size() <= kWriteBufferOPages) {
+      return OkStatus();
+    }
+  }
   while (f.buffer_valid > 0) {
     SALA_ASSIGN_OR_RETURN(FPageIndex target,
                           NextProgramTarget(stream, latency));
@@ -362,13 +375,12 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
   Frontier& f = frontier(stream);
   for (bool first_attempt = true;; first_attempt = false) {
     FPageIndex target = 0;
-    for (;;) {
+    for (bool consumed = true; consumed;) {
       SALA_ASSIGN_OR_RETURN(target, NextProgramTarget(stream, latency));
-      bool consumed = false;
-      SALA_RETURN_IF_ERROR(
-          MaybeProgramParityPage(stream, target, consumed, latency));
-      if (!consumed) {
-        break;
+      consumed = false;
+      if (config_.ecc_placement == EccPlacement::kDedicated) {
+        SALA_RETURN_IF_ERROR(
+            MaybeProgramParityPage(stream, target, consumed, latency));
       }
     }
     const uint64_t capacity = PageCapacity(target);
@@ -434,10 +446,12 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
       reverse_[slot] = batch[k];
       ++block_valid_[block];
     }
-    for (size_t k = 0; k < batch.size(); ++k) {
-      JournalAppend(JournalRecord{JournalRecordType::kMap, batch[k],
-                                  config_.geometry.FirstSlotOfFPage(target) + k,
-                                  0, 0});
+    if (config_.journaled) {
+      for (size_t k = 0; k < batch.size(); ++k) {
+        JournalAppend(JournalRecord{
+            JournalRecordType::kMap, batch[k],
+            config_.geometry.FirstSlotOfFPage(target) + k, 0, 0});
+      }
     }
     if (l2p_enabled()) {
       // The batch's L2P entries changed (buffered -> flash slot); mark their
@@ -849,9 +863,6 @@ void Ftl::InvalidateSlot(OPageSlot slot) {
 Status Ftl::MaybeProgramParityPage(Stream stream, FPageIndex target,
                                    bool& consumed, SimDuration& latency) {
   consumed = false;
-  if (config_.ecc_placement != EccPlacement::kDedicated) {
-    return OkStatus();
-  }
   const unsigned level = page_level_[target];
   if (level == 0 || level >= 8) {
     return OkStatus();

@@ -322,6 +322,8 @@ class Ftl {
   // calls this after each host operation; reacting outside the FTL's call
   // stack avoids reentrancy during GC.
   std::vector<PageTransition> TakeTransitions();
+  // True when TakeTransitions() would return a non-empty batch.
+  bool HasTransitions() const { return !transitions_.empty(); }
 
   // ---- Introspection for tests ----------------------------------------------
 
@@ -473,6 +475,7 @@ class Ftl {
   SimDuration DedicatedEccReadPenalty(unsigned level);
   // If the dedicated-ECC cadence says a parity page is due before `target`
   // can hold data, programs it and advances the cursor. Sets `consumed`.
+  // Called only under EccPlacement::kDedicated.
   Status MaybeProgramParityPage(Stream stream, FPageIndex target,
                                 bool& consumed, SimDuration& latency);
   BlockIndex PickGcVictim();

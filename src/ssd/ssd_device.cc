@@ -2,8 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace salamander {
+
+namespace {
+
+const SsdConfig& RequireValidSsdConfig(const SsdConfig& config) {
+  const Status status = ValidateSsdConfig(config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "SsdDevice: invalid config: %s\n",
+                 status.message().c_str());
+    std::abort();
+  }
+  return config;
+}
+
+}  // namespace
+
+Status ValidateSsdConfig(const SsdConfig& config) {
+  // NaN fails both comparisons, so it is rejected too.
+  if (!(config.brick_bad_block_fraction >= 0.0 &&
+        config.brick_bad_block_fraction <= 1.0)) {
+    return InvalidArgumentError("brick_bad_block_fraction must be in [0, 1]");
+  }
+  return OkStatus();
+}
 
 std::string_view SsdKindName(SsdKind kind) {
   switch (kind) {
@@ -78,7 +103,7 @@ SsdConfig MakeSsdConfig(SsdKind kind, const FlashGeometry& geometry,
 
 SsdDevice::SsdDevice(SsdKind kind, const SsdConfig& config)
     : kind_(kind),
-      config_(config),
+      config_(RequireValidSsdConfig(config)),
       ftl_(std::make_unique<Ftl>(config.ftl)),
       manager_(std::make_unique<MinidiskManager>(ftl_.get(),
                                                  config.minidisk)) {
@@ -302,6 +327,11 @@ std::vector<MinidiskEvent> SsdDevice::TakeEvents() {
   // Manager events first (decommissions that preceded a brick in the same
   // operation), then any synthesized whole-device-failure notifications.
   FaultInjector* faults = config_.faults.get();
+  // Without an injector nothing can be drawn, so an empty set of queues
+  // means an empty poll; this is the common case after a host write.
+  if (faults == nullptr && pending_event_depth() == 0) {
+    return {};
+  }
   // Crash mid-drain fires at the event-poll boundary: the host learns of the
   // loss on the very poll that would have carried drain progress.
   if (faults != nullptr && !failed_ && manager_->draining_minidisks() > 0 &&

@@ -48,6 +48,11 @@ struct SsdConfig {
   std::shared_ptr<FaultInjector> faults;
 };
 
+// Rejects an SsdConfig whose brick_bad_block_fraction is not in [0, 1] (NaN
+// included). The nested FTL and mDisk configs are checked by their own
+// validators. The SsdDevice constructor aborts on it in every build mode.
+Status ValidateSsdConfig(const SsdConfig& config);
+
 // Builds the canonical configuration for a device kind on top of shared
 // flash geometry / wear / latency settings. `regen_max_level` applies to
 // kRegenS only (the paper recommends 1, i.e. L < 2).

@@ -30,6 +30,9 @@ Status ValidateAgingConfig(const AgingConfig& config) {
 }
 
 void LiveSetTracker::Apply(const std::vector<MinidiskEvent>& events) {
+  if (events.empty()) {
+    return;  // the usual poll: most writes change no mDisk
+  }
   for (const MinidiskEvent& event : events) {
     switch (event.type) {
       case MinidiskEventType::kCreated: {
