@@ -260,6 +260,34 @@ TEST(FtlL2pCacheTest, CompactionPreservesMapFlushState) {
   ASSERT_TRUE(ftl.CheckInvariants().ok());
 }
 
+TEST(FtlL2pCacheTest, CompactionAfterReplayKeepsPagesWithNoFlashImage) {
+  // A whole-map cache never flushes a map page, so after a replay every
+  // page's durable content lives only in delta records. A compaction must
+  // re-emit all of it: such a page has no flash image to patch forward.
+  Ftl ftl = MakeL2pFtl(/*cache_entries=*/64, /*logical_opages=*/64,
+                       /*journal_capacity=*/200);
+  for (uint64_t lpo = 0; lpo < 64; ++lpo) {
+    ASSERT_TRUE(ftl.Write(lpo).ok());
+  }
+  ASSERT_TRUE(ftl.Flush().ok());
+  ftl.SimulatePowerLoss(/*torn_records=*/0);
+  ASSERT_TRUE(ftl.Replay().ok());
+
+  const uint64_t compactions = ftl.journal().compactions();
+  for (uint64_t i = 0; ftl.journal().compactions() == compactions; ++i) {
+    ASSERT_LT(i, 10000u) << "the journal never compacted";
+    ASSERT_TRUE(ftl.Write(i % 4).ok());
+  }
+  ASSERT_TRUE(ftl.Flush().ok());
+  ftl.SimulatePowerLoss(/*torn_records=*/0);
+  ASSERT_TRUE(ftl.Replay().ok());
+  for (uint64_t lpo = 0; lpo < 64; ++lpo) {
+    EXPECT_FALSE(ftl.LpoRolledBack(lpo)) << "lpo " << lpo;
+    EXPECT_TRUE(ftl.Read(lpo).ok()) << "lpo " << lpo;
+  }
+  ASSERT_TRUE(ftl.CheckInvariants().ok());
+}
+
 TEST(FtlL2pCacheTest, ExtendGrowsTheMapPageTable) {
   Ftl ftl = MakeL2pFtl(/*cache_entries=*/8, /*logical_opages=*/16);
   ASSERT_EQ(ftl.l2p_map_pages(), 2u);
