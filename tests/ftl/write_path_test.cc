@@ -5,7 +5,8 @@
 // reserve. Each scenario is deterministic; its final StateDigest, summed
 // write latency and FTL counters are compared against values recorded from
 // the write path before it took the early return, so any divergence in
-// placement, timing or wear shows up here.
+// placement, timing or wear shows up here. A second group pins GC
+// relocation the same way (see below).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -234,6 +235,238 @@ TEST(FtlWritePathTest, HostStreamAtGcReserveDrainsInFifoOrder) {
                                 .flushes = 3059,
                                 .gc_relocations = 11264,
                                 .erases = 178,
+                                .program_failures = 0});
+}
+
+// ---- GC relocation ----------------------------------------------------------
+//
+// The scenarios below pin GC relocation: the StateDigest after every
+// kStepWrites random writes and the final counters, recorded from a build
+// that relocated every page through the host's buffered-write call. Each
+// scenario also asserts that it reached the state it exists for.
+
+constexpr uint64_t kStepWrites = 500;
+// Logical spaces, of TinyGeometry's 1024 raw oPages. Retired pages and
+// map-page images (one fPage each) take room, so those scenarios use less.
+constexpr uint64_t kGcLogical = 640;
+constexpr uint64_t kGcLogicalTight = 384;
+
+struct GcRun {
+  std::vector<uint64_t> step_digests;
+  SimDuration latency = 0;
+};
+
+// Writes lpos 0..logical-1 once, so every later write overwrites and GC has
+// valid data to move.
+void SequentialFill(Ftl& ftl, uint64_t logical, SimDuration& latency) {
+  for (uint64_t lpo = 0; lpo < logical; ++lpo) {
+    StatusOr<SimDuration> written = ftl.Write(lpo);
+    ASSERT_TRUE(written.ok()) << written.status();
+    latency += *written;
+  }
+}
+
+// `steps` x kStepWrites random writes; `before` and `after` run around each
+// write and see its lpo.
+template <typename Before, typename After>
+void SteppedWrites(Ftl& ftl, Rng& rng, uint64_t logical, int steps,
+                   GcRun& run, Before before, After after) {
+  for (int step = 0; step < steps; ++step) {
+    for (uint64_t i = 0; i < kStepWrites; ++i) {
+      const uint64_t lpo = rng.UniformU64(logical);
+      before(lpo);
+      StatusOr<SimDuration> written = ftl.Write(lpo);
+      ASSERT_TRUE(written.ok()) << written.status();
+      run.latency += *written;
+      ftl.TakeTransitions();
+      after(lpo);
+    }
+    run.step_digests.push_back(ftl.StateDigest());
+  }
+}
+
+// GC rounds move whole victims but the GC stream flushes only whole pages,
+// so a round that moves a count not divisible by the page size leaves
+// relocated pages buffered for the next round to top up.
+TEST(FtlWritePathTest, GcBufferLeftoversCarryAcrossRounds) {
+  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000000);
+  Ftl ftl(config);
+  ftl.ExtendLogicalSpace(kGcLogical);
+  GcRun run;
+  SequentialFill(ftl, kGcLogical, run.latency);
+  Rng rng(41);
+  const uint64_t per_page = config.geometry.opages_per_fpage;
+  uint64_t carried_rounds = 0;
+  uint64_t relocations_before = 0;
+  SteppedWrites(
+      ftl, rng, kGcLogical, 6, run,
+      [&](uint64_t) { relocations_before = ftl.stats().gc_relocations; },
+      [&](uint64_t) {
+        if (ftl.stats().gc_relocations > relocations_before &&
+            relocations_before % per_page != 0) {
+          ++carried_rounds;
+        }
+      });
+  EXPECT_GT(carried_rounds, 0u) << "no GC round started with leftovers";
+  ASSERT_TRUE(ftl.Flush().ok());
+  ASSERT_EQ(ftl.CheckInvariants(), OkStatus());
+  EXPECT_EQ(run.step_digests,
+            (std::vector<uint64_t>{
+                1791325333837286166ULL, 13468460174894636642ULL,
+                12812328740568569407ULL, 434061095073692957ULL,
+                3900998947561686732ULL, 5980354752456394385ULL}));
+  ExpectFingerprint(Take(ftl, run.latency),
+                    Fingerprint{.digest = 10472336200072894744ULL,
+                                .latency = 1509339200,
+                                .flushes = 1718,
+                                .gc_relocations = 3252,
+                                .erases = 94,
+                                .program_failures = 0});
+}
+
+// A relocated page that is still in the GC buffer is trimmed: its buffer
+// entry goes stale and the GC stream's next flush must skip it.
+TEST(FtlWritePathTest, TrimOfGcBufferedPageBeforeItsFlush) {
+  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000000);
+  Ftl ftl(config);
+  ftl.ExtendLogicalSpace(kGcLogical);
+  GcRun run;
+  SequentialFill(ftl, kGcLogical, run.latency);
+  Rng rng(43);
+  std::vector<uint64_t> slots(kGcLogical);
+  uint64_t trimmed = 0;
+  SteppedWrites(
+      ftl, rng, kGcLogical, 6, run,
+      [&](uint64_t) {
+        for (uint64_t lpo = 0; lpo < kGcLogical; ++lpo) {
+          slots[lpo] = ftl.PhysicalSlot(lpo);
+        }
+      },
+      [&](uint64_t written) {
+        // A page that had a slot before this write, has none after it and
+        // is not the page the host wrote was relocated into the GC buffer.
+        for (uint64_t lpo = 0; lpo < kGcLogical; ++lpo) {
+          if (lpo != written && slots[lpo] != Ftl::kUnmappedSlot &&
+              ftl.PhysicalSlot(lpo) == Ftl::kUnmappedSlot) {
+            ASSERT_TRUE(ftl.Trim(lpo).ok());
+            ++trimmed;
+            break;
+          }
+        }
+      });
+  EXPECT_GT(trimmed, 0u) << "no GC-buffered page was trimmed";
+  ASSERT_TRUE(ftl.Flush().ok());
+  ASSERT_EQ(ftl.CheckInvariants(), OkStatus());
+  EXPECT_EQ(run.step_digests,
+            (std::vector<uint64_t>{
+                9834677528193722158ULL, 17015594694524790328ULL,
+                14457390038766440501ULL, 14132753451790503771ULL,
+                482044060298182795ULL, 782873429068101165ULL}));
+  ExpectFingerprint(Take(ftl, run.latency),
+                    Fingerprint{.digest = 15055610676013948400ULL,
+                                .latency = 1466762400,
+                                .flushes = 1672,
+                                .gc_relocations = 3082,
+                                .erases = 91,
+                                .program_failures = 0});
+}
+
+// Program failures injected while GC is relocating: the failed page retires
+// and the GC stream re-places its batch on the next page of its block.
+TEST(FtlWritePathTest, ProgramFailureDuringGcRelocation) {
+  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000000);
+  Ftl ftl(config);
+  FaultConfig faults;
+  faults.program_fail = 0.01;
+  faults.seed = 47;
+  FaultInjector injector(faults, /*stream_id=*/0);
+  ftl.SetFaultInjector(&injector);
+  ftl.ExtendLogicalSpace(kGcLogicalTight);
+  GcRun run;
+  SequentialFill(ftl, kGcLogicalTight, run.latency);
+  Rng rng(47);
+  uint64_t relocations_before = 0;
+  uint64_t failures_before = 0;
+  uint64_t failing_gc_writes = 0;
+  SteppedWrites(
+      ftl, rng, kGcLogicalTight, 4, run,
+      [&](uint64_t) {
+        relocations_before = ftl.stats().gc_relocations;
+        failures_before = ftl.stats().program_failures;
+      },
+      [&](uint64_t) {
+        if (ftl.stats().gc_relocations > relocations_before &&
+            ftl.stats().program_failures > failures_before) {
+          ++failing_gc_writes;
+        }
+      });
+  EXPECT_GT(failing_gc_writes, 0u) << "no program failed during a GC round";
+  ASSERT_TRUE(ftl.Flush().ok());
+  ASSERT_EQ(ftl.CheckInvariants(), OkStatus());
+  EXPECT_EQ(run.step_digests,
+            (std::vector<uint64_t>{
+                14526665305833911656ULL, 1830737604070921106ULL,
+                1711650041947902757ULL, 15050548042043819166ULL}));
+  ExpectFingerprint(Take(ftl, run.latency),
+                    Fingerprint{.digest = 10139459292816579557ULL,
+                                .latency = 564933600,
+                                .flushes = 670,
+                                .gc_relocations = 305,
+                                .erases = 29,
+                                .program_failures = 9});
+}
+
+// Under L2P paging, map-page images share blocks with data, so GC victims
+// hold map images next to data pages: the images are re-flushed and the
+// data is relocated in the same round.
+TEST(FtlWritePathTest, MapBlockVictimUnderL2pPaging) {
+  FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000000);
+  config.l2p_cache_entries = 64;
+  config.l2p_entries_per_map_page = 32;
+  Ftl ftl(config);
+  ftl.ExtendLogicalSpace(kGcLogicalTight);
+  GcRun run;
+  SequentialFill(ftl, kGcLogicalTight, run.latency);
+  Rng rng(53);
+  const FlashGeometry& g = config.geometry;
+  std::vector<std::pair<BlockIndex, uint32_t>> map_blocks;
+  uint64_t map_block_erases = 0;
+  SteppedWrites(
+      ftl, rng, kGcLogicalTight, 4, run,
+      [&](uint64_t) {
+        map_blocks.clear();
+        for (uint64_t p = 0; p < ftl.l2p_map_pages(); ++p) {
+          if (ftl.MapPageSlot(p) != Ftl::kUnmappedSlot) {
+            const BlockIndex block =
+                g.BlockOfFPage(g.FPageOfSlot(ftl.MapPageSlot(p)));
+            map_blocks.emplace_back(block, ftl.chip().BlockPec(block));
+          }
+        }
+      },
+      [&](uint64_t) {
+        for (const auto& [block, pec] : map_blocks) {
+          if (ftl.chip().BlockPec(block) != pec) {
+            ++map_block_erases;
+            break;
+          }
+        }
+      });
+  EXPECT_GT(map_block_erases, 0u)
+      << "GC never erased a block holding a map image";
+  EXPECT_GT(ftl.l2p_stats().map_writes, 0u);
+  ASSERT_TRUE(ftl.Flush().ok());
+  ASSERT_EQ(ftl.CheckInvariants(), OkStatus());
+  EXPECT_EQ(run.step_digests,
+            (std::vector<uint64_t>{
+                15946761986537006099ULL, 3113108262326670531ULL,
+                6586317711850955212ULL, 13535225003195066293ULL}));
+  EXPECT_EQ(ftl.l2p_stats().map_writes, 3404u);
+  ExpectFingerprint(Take(ftl, run.latency),
+                    Fingerprint{.digest = 9340593165085095458ULL,
+                                .latency = 3818461600,
+                                .flushes = 718,
+                                .gc_relocations = 500,
+                                .erases = 245,
                                 .program_failures = 0});
 }
 
