@@ -155,8 +155,8 @@ class DifsCluster : public ClusterCore {
 
   const DifsStats& stats() const { return stats_; }
   uint64_t total_chunks() const { return chunks_.size(); }
-  uint64_t chunks_fully_replicated() const;
-  uint64_t chunks_under_replicated() const;
+  uint64_t chunks_fully_replicated() const { return CountUnits(true); }
+  uint64_t chunks_under_replicated() const { return CountUnits(false); }
   uint64_t chunks_lost() const { return stats_.chunks_lost; }
   const Chunk& chunk(ChunkId id) const { return chunks_[id]; }
   // Chunks parked until placement capacity appears (recovery deferred).
@@ -198,11 +198,6 @@ class DifsCluster : public ClusterCore {
   // longer count toward R; the drain is acked once each has been
   // re-replicated (or lost).
   void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
-  // A replica is fresh iff it missed no foreground write (generation match).
-  bool MemberFresh(const UnitRecord& unit,
-                   const SlotLocation& member) const override {
-    return member.generation == unit.generation;
-  }
 
   // After `chunk` reached full replication, releases its draining replicas
   // and acks drains whose last pending chunk this was.
@@ -210,11 +205,6 @@ class DifsCluster : public ClusterCore {
   // Attempts to restore one missing replica of `chunk_id`. Returns true on
   // success, false if no eligible target or no live source exists.
   bool RecoverOneReplica(ChunkId chunk_id);
-  // Shared body of StepWrites and WriteChunkAt: stamps the new generation
-  // and writes every live replica. kDataLoss when the chunk is lost,
-  // kUnavailable when admission control sheds the whole op (queueing only;
-  // no replica is touched, so none goes stale). Draws no RNG values.
-  Status WriteChunkBody(Chunk& chunk, uint64_t offset, SimDuration* cost_ns);
   // Shared body of StepReads and ReadChunkAt. Preserves the legacy RNG draw
   // order exactly: candidates -> live_index -> offset — when `offset_ptr` is
   // null the offset is drawn from the cluster RNG *after* the replica pick,

@@ -71,8 +71,7 @@ struct EcStats : ClusterStats {
   uint64_t rebuild_write_bytes() const { return rebuild_opage_writes * 4096; }
 };
 
-// One cell's placement; `cell` is the stable index within the stripe and
-// `stale` marks a cell whose most recent targeted write did not land.
+// One cell's placement; `cell` is the stable index within the stripe.
 using CellLocation = SlotLocation;
 
 struct Stripe : UnitRecord {
@@ -120,8 +119,8 @@ class EcCluster : public ClusterCore {
 
   const EcStats& stats() const { return stats_; }
   uint64_t total_stripes() const { return stripes_.size(); }
-  uint64_t stripes_fully_redundant() const;
-  uint64_t stripes_degraded() const;
+  uint64_t stripes_fully_redundant() const { return CountUnits(true); }
+  uint64_t stripes_degraded() const { return CountUnits(false); }
   const Stripe& stripe(StripeId id) const { return stripes_[id]; }
 
   // Scrapes EcStats with difs.*-parity names ("<prefix>ec.*"), redundancy-
@@ -152,25 +151,12 @@ class EcCluster : public ClusterCore {
   // so a draining mDisk is retired immediately (its cells lost and queued
   // for rebuild, exactly as a decommission) and the drain is acked at once.
   void HandleMdiskDraining(uint32_t device_index, MinidiskId mdisk) override;
-  // A cell is fresh iff its most recent targeted write landed (not stale);
-  // cells the update stream never targeted keep an older generation and are
-  // still fresh.
-  bool MemberFresh(const UnitRecord& /*unit*/,
-                   const SlotLocation& member) const override {
-    return !member.stale;
-  }
 
   // Reconstructs one missing cell of `stripe_id` from k live cells.
   bool RebuildOneCell(StripeId stripe_id);
   // Writes one cell oPage (no transient retry); on success returns the
   // device write latency and counts a foreground device write.
   StatusOr<SimDuration> WriteCell(CellLocation& cell, uint64_t offset);
-  // Shared body of StepWrites and WriteLogicalAt: stamps the new stripe
-  // generation and writes the data cell plus all parity cells. kDataLoss
-  // (doing nothing further) when the stripe is lost; kUnavailable when the
-  // op is shed whole at queue admission. Draws no RNG.
-  Status WriteLogicalBody(Stripe& stripe, uint32_t data_cell, uint64_t offset,
-                          SimDuration* cost_ns);
   // Shared body of StepReads and ReadLogicalAt. Draws no RNG.
   Status ReadLogicalBody(Stripe& stripe, uint32_t data_cell, uint64_t offset,
                          SimDuration* cost_ns);
