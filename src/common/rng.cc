@@ -151,7 +151,11 @@ uint64_t Rng::Poisson(double lambda) {
   }
   if (lambda < 30.0) {
     // Knuth's multiplication method.
-    const double limit = std::exp(-lambda);
+    if (lambda != poisson_lambda_) {
+      poisson_lambda_ = lambda;
+      poisson_limit_ = std::exp(-lambda);
+    }
+    const double limit = poisson_limit_;
     double product = UniformDouble();
     uint64_t count = 0;
     while (product > limit) {

@@ -44,13 +44,16 @@ class Rng {
   // Bernoulli trial with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  // Binomial(n, p) sample: number of successes in n trials.
-  // Exact inversion for small n*p, normal approximation for large n —
-  // the flash error model draws Binomial(bits_per_page, rber) per read,
-  // where n is ~1e5 and p is ~1e-4, so both paths matter.
+  // Binomial(n, p) sample: number of successes in n trials. Exact Bernoulli
+  // trials for n <= 64; otherwise the Poisson limit Poisson(n*p) (capped at
+  // n) while n*p < 30, and a rounded normal approximation above that. The
+  // flash error model draws Binomial(stripe_codeword_bits, rber) per stripe,
+  // where n is ~1e4 and n*p is small, so it takes the Poisson path.
   uint64_t Binomial(uint64_t n, double p);
 
   // Poisson(lambda) sample (Knuth for small lambda, normal approx for large).
+  // exp(-lambda) is memoized for the last lambda seen: a flash read draws
+  // every stripe at one lambda, so it pays one exp, not one per stripe.
   uint64_t Poisson(double lambda);
 
   // Forks an independent child stream. The child is seeded from this
@@ -68,6 +71,10 @@ class Rng {
   uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+  // Poisson's one-entry memo of (lambda, exp(-lambda)). Poisson never
+  // consults it for lambda <= 0, so the initial key cannot match.
+  double poisson_lambda_ = 0.0;
+  double poisson_limit_ = 1.0;
 };
 
 }  // namespace salamander

@@ -1,6 +1,7 @@
 #include "flash/flash_chip.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace salamander {
@@ -13,6 +14,7 @@ FlashChip::FlashChip(const FlashGeometry& geometry,
       latency_(latency),
       rng_(seed),
       block_pec_(geometry.total_blocks(), 0),
+      block_wear_term_(geometry.total_blocks(), 0.0),
       block_reads_(geometry.total_blocks(), 0),
       next_program_(geometry.total_blocks(), 0),
       programmed_(geometry.total_fpages(), false) {
@@ -34,6 +36,8 @@ StatusOr<SimDuration> FlashChip::EraseBlock(BlockIndex block) {
                          std::to_string(block));
   }
   ++block_pec_[block];
+  block_wear_term_[block] = std::pow(static_cast<double>(block_pec_[block]),
+                                     wear_model_.config().exponent);
   block_reads_[block] = 0;  // read-disturb charge dissipates with the erase
   next_program_[block] = 0;
   const FPageIndex first = geometry_.FirstFPageOfBlock(block);
@@ -80,10 +84,18 @@ StatusOr<SimDuration> FlashChip::ProgramFPage(FPageIndex fpage) {
 }
 
 double FlashChip::PageRber(FPageIndex fpage) const {
+  // WearModel::Rber's expression, term for term, with the block's cached
+  // pec^exponent in place of the pow call.
   const BlockIndex block = geometry_.BlockOfFPage(fpage);
-  return wear_model_.Rber(static_cast<double>(block_pec_[block]),
-                          static_cast<double>(page_factor_[fpage]),
-                          block_reads_[block]);
+  const WearModelConfig& wear = wear_model_.config();
+  const double disturb = wear.read_disturb_per_read *
+                         static_cast<double>(block_reads_[block]);
+  if (block_pec_[block] == 0) {
+    return wear.rber_floor + disturb;
+  }
+  return wear.rber_floor + disturb +
+         wear.coefficient * static_cast<double>(page_factor_[fpage]) *
+             block_wear_term_[block];
 }
 
 double FlashChip::PageFactor(FPageIndex fpage) const {

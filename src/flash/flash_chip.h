@@ -109,6 +109,9 @@ class FlashChip {
   FaultInjector* faults_ = nullptr;  // not owned
 
   std::vector<uint32_t> block_pec_;       // per block
+  // pec^exponent per block, recomputed by EraseBlock: the wear term of
+  // every page of the block, so PageRber makes no libm call.
+  std::vector<double> block_wear_term_;
   std::vector<uint32_t> block_reads_;     // per block, since last erase
   std::vector<float> page_factor_;        // per fPage, lognormal median 1
   std::vector<uint16_t> next_program_;    // per block: next programmable page

@@ -9,11 +9,19 @@
 #ifndef SALAMANDER_FLASH_GEOMETRY_H_
 #define SALAMANDER_FLASH_GEOMETRY_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "common/units.h"
 
 namespace salamander {
+
+// x / d for d > 0: a shift when d is a power of two (every shipped geometry),
+// a divide otherwise. (d & (d - 1)) rather than std::has_single_bit, which
+// without -mpopcnt becomes a library call.
+inline uint64_t DivideIndex(uint64_t x, uint64_t d) {
+  return (d & (d - 1)) == 0 ? x >> std::countr_zero(d) : x / d;
+}
 
 using FPageIndex = uint64_t;
 using BlockIndex = uint64_t;
@@ -43,13 +51,13 @@ struct FlashGeometry {
   }
 
   BlockIndex BlockOfFPage(FPageIndex fpage) const {
-    return fpage / fpages_per_block;
+    return DivideIndex(fpage, fpages_per_block);
   }
   FPageIndex FirstFPageOfBlock(BlockIndex block) const {
     return block * fpages_per_block;
   }
   FPageIndex FPageOfSlot(OPageSlot slot) const {
-    return slot / opages_per_fpage;
+    return DivideIndex(slot, opages_per_fpage);
   }
   uint32_t SlotWithinFPage(OPageSlot slot) const {
     return static_cast<uint32_t>(slot % opages_per_fpage);

@@ -102,6 +102,10 @@ Ftl::Ftl(const FtlConfig& config)
   }
   free_blocks_ = blocks;
   stats_.reads_by_level.assign(config_.geometry.opages_per_fpage, 0);
+  flush_batch_.reserve(config_.geometry.opages_per_fpage);
+  if (config_.journaled) {
+    journal_.Reserve();
+  }
 
   if (config_.l2p_cache_entries > 0) {
     l2p_entries_per_page_ = config_.l2p_entries_per_map_page > 0
@@ -403,9 +407,11 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
     // Gather up to `capacity` live buffer entries, discarding stale ones.
     // A trim-then-rewrite can leave two deque entries for one lpo that both
     // still look "buffered" at pop time, so dedupe within the batch (it holds
-    // at most opages_per_fpage entries; linear scan is fine).
-    std::vector<uint64_t> batch;
-    batch.reserve(capacity);
+    // at most opages_per_fpage entries; linear scan is fine). The buffer is
+    // a member so a flush allocates nothing; nothing between the gather and
+    // the return below flushes again.
+    std::vector<uint64_t>& batch = flush_batch_;
+    batch.clear();
     while (batch.size() < capacity && !f.buffer.empty()) {
       const uint64_t lpo = f.buffer.front();
       f.buffer.pop_front();
@@ -1278,6 +1284,7 @@ void Ftl::JournalPageState(FPageIndex fpage) {
 
 void Ftl::CompactJournal() {
   std::vector<JournalRecord> out;
+  out.reserve(journal_.capacity());
   // mDisk lifecycle history, compacted to at most two records per mDisk ever
   // created: the create, plus its terminal drain/drop if any. Creates appear
   // in id order because ids are assigned sequentially.

@@ -299,6 +299,11 @@ class Ftl {
   // bounded cache is disabled).
   uint64_t l2p_entries_per_map_page() const { return l2p_entries_per_page_; }
   uint64_t l2p_map_pages() const { return map_slot_.size(); }
+  // Map page holding `lpo`'s L2P entry. L2P paging on only: the divisor is
+  // 0 when it is off.
+  uint64_t MapPageOf(uint64_t lpo) const {
+    return DivideIndex(lpo, l2p_entries_per_page_);
+  }
   // DRAM window size in whole map pages (>= 1 when enabled).
   uint64_t l2p_cache_capacity_pages() const { return l2p_capacity_pages_; }
   uint64_t l2p_resident_pages() const { return l2p_resident_pages_; }
@@ -495,7 +500,6 @@ class Ftl {
   void ReactivateIfParked(BlockIndex block);
 
   // --- bounded L2P map cache ---
-  uint64_t MapPageOf(uint64_t lpo) const { return lpo / l2p_entries_per_page_; }
   // Grows the map-page arrays to cover the logical space (constructor,
   // ExtendLogicalSpace, and kExtend replay).
   void L2pGrow();
@@ -593,6 +597,8 @@ class Ftl {
     uint32_t data_since_parity[8] = {};
   };
   Frontier frontiers_[kStreams];
+  // FlushToTarget's gather of one fPage's lpos, reused across flushes.
+  std::vector<uint64_t> flush_batch_;
   Frontier& frontier(Stream stream) {
     return stream == Stream::kMap ? map_frontier_
                                   : frontiers_[static_cast<size_t>(stream)];

@@ -64,6 +64,11 @@ class FtlJournal {
   explicit FtlJournal(uint64_t capacity_records)
       : capacity_(capacity_records) {}
 
+  // Allocates room for `capacity()` records up front, so appends never
+  // regrow the record array. ReplaceWith keeps the room when its snapshot
+  // was built reserved to capacity.
+  void Reserve() { records_.reserve(capacity_); }
+
   void Append(const JournalRecord& record) {
     records_.push_back(record);
     ++appends_;

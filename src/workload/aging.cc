@@ -1,11 +1,9 @@
 #include "workload/aging.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-
-#include "workload/generators.h"
 
 namespace salamander {
 
@@ -28,6 +26,24 @@ Status ValidateAgingConfig(const AgingConfig& config) {
   }
   return OkStatus();
 }
+
+namespace {
+
+// Validates before zipf_ is built from the config.
+const AgingConfig& RequireValidAgingConfig(const AgingConfig& config) {
+  const Status status = ValidateAgingConfig(config);
+  if (!status.ok()) {
+    // Dying beats silently aging a device with a nonsense workload: a
+    // zipfian_fraction of 1.3 would quietly clamp inside Rng::Bernoulli and
+    // skew every lifetime figure downstream.
+    std::fprintf(stderr, "AgingDriver: invalid config: %s\n",
+                 status.message().c_str());
+    std::abort();
+  }
+  return config;
+}
+
+}  // namespace
 
 void LiveSetTracker::Apply(const std::vector<MinidiskEvent>& events) {
   if (events.empty()) {
@@ -78,17 +94,11 @@ void LiveSetTracker::BootstrapFromDevice(const SsdDevice& device) {
 
 AgingDriver::AgingDriver(SsdDevice* device, uint64_t seed,
                          const AgingConfig& config)
-    : device_(device), rng_(seed), config_(config) {
-  assert(device_ != nullptr);
-  Status status = ValidateAgingConfig(config_);
-  if (!status.ok()) {
-    // Dying beats silently aging a device with a nonsense workload: a
-    // zipfian_fraction of 1.3 would quietly clamp inside Rng::Bernoulli and
-    // skew every lifetime figure downstream.
-    std::fprintf(stderr, "AgingDriver: invalid config: %s\n",
-                 status.message().c_str());
-    std::abort();
-  }
+    : device_(device),
+      rng_(seed),
+      config_(RequireValidAgingConfig(config)),
+      zipf_(std::max<uint64_t>(1, device->msize_opages()),
+            config.zipfian_theta) {
   tracker_.Apply(device_->TakeEvents());  // any pending events first
   tracker_.BootstrapFromDevice(*device_);  // then the current live set
 }
@@ -96,7 +106,6 @@ AgingDriver::AgingDriver(SsdDevice* device, uint64_t seed,
 AgingResult AgingDriver::WriteOPages(uint64_t opages) {
   AgingResult result;
   const uint64_t msize = device_->msize_opages();
-  ZipfianGenerator zipf(msize == 0 ? 1 : msize, config_.zipfian_theta);
   // A real host declares a device dead after persistent errors; this also
   // guarantees the driver terminates if a device wedges without bricking.
   constexpr uint64_t kMaxConsecutiveErrors = 1000;
@@ -110,7 +119,7 @@ AgingResult AgingDriver::WriteOPages(uint64_t opages) {
     uint64_t lba;
     if (config_.working_set_fraction >= 1.0) {
       mdisk = tracker_.PickRandom(rng_);
-      lba = rng_.Bernoulli(config_.zipfian_fraction) ? zipf.Next(rng_)
+      lba = rng_.Bernoulli(config_.zipfian_fraction) ? zipf_.Next(rng_)
                                                      : rng_.UniformU64(msize);
     } else {
       // Restrict to a byte-level prefix of the live capacity (works for one

@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "core/minidisk.h"
 #include "ssd/ssd_device.h"
+#include "workload/generators.h"
 
 namespace salamander {
 
@@ -90,6 +91,8 @@ class AgingDriver {
   SsdDevice* device_;
   Rng rng_;
   AgingConfig config_;
+  // Hot-address draws over one mDisk's oPages (msize is fixed per device).
+  ZipfianGenerator zipf_;
   LiveSetTracker tracker_;
   uint64_t total_written_ = 0;
 };

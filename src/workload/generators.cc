@@ -68,6 +68,7 @@ ZipfianGenerator::ZipfianGenerator(uint64_t space, double theta)
   zeta_n_ = CachedZeta(space, theta);
   zeta_two_ = CachedZeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);
+  rank_one_cut_ = 1.0 + std::pow(0.5, theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(space), 1.0 - theta)) /
          (1.0 - zeta_two_ / zeta_n_);
 }
@@ -78,7 +79,7 @@ uint64_t ZipfianGenerator::Next(Rng& rng) {
   if (uz < 1.0) {
     return 0;
   }
-  if (uz < 1.0 + std::pow(0.5, theta_)) {
+  if (uz < rank_one_cut_) {
     return 1;
   }
   const double n = static_cast<double>(space_);

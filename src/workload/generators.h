@@ -23,7 +23,7 @@ class ZipfianGenerator {
   // Zeta(n, theta) = sum_{i=1..n} i^-theta, memoized per (n, theta) behind a
   // mutex: the O(n) partial sum runs once per distinct geometry, so
   // constructing many same-shaped generators (one per tenant, one per
-  // AgingDriver::WriteOPages call) is O(1) after the first. The cached value
+  // AgingDriver) is O(1) after the first. The cached value
   // is a pure function of its key, so sharing it across threads cannot
   // perturb determinism.
   static double CachedZeta(uint64_t n, double theta);
@@ -37,6 +37,7 @@ class ZipfianGenerator {
   double zeta_n_;
   double eta_;
   double zeta_two_;
+  double rank_one_cut_;  // 1 + 0.5^theta: draws below it (and >= 1) are rank 1
 };
 
 }  // namespace salamander

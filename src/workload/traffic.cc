@@ -1,5 +1,6 @@
 #include "workload/traffic.h"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,30 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+// kFnvPrimePow[k] = kFnvPrime^k mod 2^64.
+constexpr std::array<uint64_t, 9> kFnvPrimePow = [] {
+  std::array<uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (size_t k = 1; k < pow.size(); ++k) {
+    pow[k] = pow[k - 1] * kFnvPrime;
+  }
+  return pow;
+}();
+
+// FNV-1a over the 8 little-endian bytes of `value`. A zero byte's xor is a
+// no-op, so the run of zero high bytes folds into one multiply by
+// kFnvPrime^k — the same hash mod 2^64 as the byte-serial loop.
+uint64_t FnvMix64(uint64_t hash, uint64_t value) {
+  int bytes = 0;
+  for (; value != 0; value >>= 8, ++bytes) {
+    hash ^= value & 0xff;
+    hash *= kFnvPrime;
+  }
+  return hash * kFnvPrimePow[8 - bytes];
 }
 
 Status FractionError(const char* field, double value) {
@@ -115,7 +140,9 @@ TrafficConfig MakeUniformTraffic(uint32_t n, const TenantConfig& tenant,
 
 TrafficEngine::TrafficEngine(const TrafficConfig& config,
                              uint64_t address_space)
-    : address_space_(address_space) {
+    : address_space_(address_space),
+      address_space_inv_(address_space == 0 ? 0
+                                            : UINT64_MAX / address_space) {
   Status status = ValidateTrafficConfig(config);
   if (!status.ok()) {
     std::fprintf(stderr, "TrafficEngine: invalid config: %s\n",
@@ -214,9 +241,13 @@ uint64_t TrafficEngine::RankToAddress(const TenantState& tenant,
   // Churn drift: popularity rank r points at object (r + hot_offset) mod
   // objects, so the hot set is a contiguous window that migrates over time;
   // the salted mixer then scatters the object over the shared address space.
-  const uint64_t object =
-      (rank + tenant.hot_offset) % tenant.config.objects;
-  return Mix64(tenant.salt ^ object) % address_space_;
+  // Both rank and hot_offset are below objects, so one subtract reduces.
+  const uint64_t objects = tenant.config.objects;
+  const uint64_t object = rank >= objects - tenant.hot_offset
+                              ? rank - (objects - tenant.hot_offset)
+                              : rank + tenant.hot_offset;
+  return ModByReciprocal(Mix64(tenant.salt ^ object), address_space_,
+                         address_space_inv_);
 }
 
 uint64_t TrafficEngine::EmitDay(uint32_t day, std::vector<TrafficOp>* out) {
@@ -250,15 +281,9 @@ uint64_t TrafficEngine::EmitDay(uint32_t day, std::vector<TrafficOp>* out) {
       ++ops_emitted_;
       ++emitted;
       // FNV-1a over the op triple — the golden-stream fingerprint.
-      const auto mix = [this](uint64_t value) {
-        for (int byte = 0; byte < 8; ++byte) {
-          stream_digest_ ^= (value >> (byte * 8)) & 0xff;
-          stream_digest_ *= 0x100000001b3ULL;
-        }
-      };
-      mix(op.tenant);
-      mix(op.is_read ? 1 : 0);
-      mix(op.address);
+      stream_digest_ = FnvMix64(stream_digest_, op.tenant);
+      stream_digest_ = FnvMix64(stream_digest_, op.is_read ? 1 : 0);
+      stream_digest_ = FnvMix64(stream_digest_, op.address);
     }
   }
   any_day_seen_ = true;

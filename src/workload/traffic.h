@@ -113,6 +113,16 @@ struct TrafficOp {
 TrafficConfig MakeUniformTraffic(uint32_t n, const TenantConfig& tenant,
                                  uint64_t seed, bool mixed_arrivals = false);
 
+// x % d for d > 0, given inv = UINT64_MAX / d: the multiply-high estimate
+// of x / d is at most one short for every 64-bit x, so one conditional
+// subtract finishes the reduction. Exact; no divide.
+inline uint64_t ModByReciprocal(uint64_t x, uint64_t d, uint64_t inv) {
+  const uint64_t q = static_cast<uint64_t>(
+      (static_cast<__uint128_t>(x) * inv) >> 64);
+  const uint64_t r = x - q * d;
+  return r >= d ? r - d : r;
+}
+
 class TrafficEngine {
  public:
   // `address_space` is the size of the shared oPage address space the ops
@@ -189,6 +199,7 @@ class TrafficEngine {
   uint64_t RankToAddress(const TenantState& tenant, uint64_t rank) const;
 
   uint64_t address_space_;
+  uint64_t address_space_inv_;  // UINT64_MAX / address_space_
   std::vector<TenantState> tenants_;
   // Last day advanced to; days must arrive strictly increasing.
   bool any_day_seen_ = false;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 namespace salamander {
 namespace {
@@ -224,6 +225,48 @@ TEST(RngTest, ForkProducesIndependentDeterministicStream) {
     }
   }
   EXPECT_LT(equal, 2);
+}
+
+// Knuth's method with std::exp evaluated on every call: the reference for
+// Rng::Poisson, which memoizes exp(-lambda) for the last lambda.
+uint64_t KnuthPoissonReference(Rng& rng, double lambda) {
+  const double limit = std::exp(-lambda);
+  double product = rng.UniformDouble();
+  uint64_t count = 0;
+  while (product > limit) {
+    product *= rng.UniformDouble();
+    ++count;
+  }
+  return count;
+}
+
+TEST(RngTest, PoissonMatchesKnuthDrawForDraw) {
+  Rng fast(99);
+  Rng reference(99);
+  // Repeated lambdas (the memo hits), alternating ones (it misses every
+  // time), and draws outside the Knuth range in between, which must leave
+  // the memo valid.
+  std::vector<double> lambdas;
+  for (int i = 0; i < 200; ++i) {
+    lambdas.push_back(4.25);
+  }
+  for (int i = 0; i < 200; ++i) {
+    lambdas.push_back(i % 2 == 0 ? 0.5 : 7.3);
+  }
+  for (int i = 0; i < 200; ++i) {
+    lambdas.push_back(i % 3 == 0 ? 29.9 : 1e-3);
+  }
+  for (size_t i = 0; i < lambdas.size(); ++i) {
+    ASSERT_EQ(fast.Poisson(lambdas[i]),
+              KnuthPoissonReference(reference, lambdas[i]))
+        << "draw " << i << " lambda " << lambdas[i];
+    if (i % 50 == 0) {
+      // lambda <= 0 draws nothing; lambda >= 30 takes the normal path.
+      ASSERT_EQ(fast.Poisson(0.0), 0u);
+      ASSERT_EQ(fast.Poisson(45.0), reference.Poisson(45.0));
+    }
+  }
+  EXPECT_EQ(fast.NextU64(), reference.NextU64());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "ecc/tiredness.h"
 #include "tests/testing/device_builder.h"
 
@@ -218,6 +221,31 @@ TEST(FlashChipTest, DeterministicAcrossInstances) {
     ASSERT_TRUE(rb.ok());
     EXPECT_EQ(ra->worst_stripe_errors, rb->worst_stripe_errors);
     EXPECT_EQ(ra->latency, rb->latency);
+  }
+}
+
+// BlockOfFPage and FPageOfSlot shift for power-of-two divisors and divide
+// otherwise; both arms must equal plain division.
+TEST(FlashGeometryTest, IndexHelpersMatchDivision) {
+  FlashGeometry odd = TinyGeometry();
+  odd.fpages_per_block = 6;
+  odd.opages_per_fpage = 3;
+  Rng rng(31);
+  for (const FlashGeometry& g :
+       {FlashGeometry{}, FlashGeometry::Small(), TinyGeometry(), odd}) {
+    std::vector<uint64_t> xs = {0, 1, 2, 3, 5, 6, 7, 63, 64, 65,
+                                g.total_fpages() - 1, g.total_opages() - 1,
+                                UINT64_MAX - 1, UINT64_MAX};
+    for (int i = 0; i < 1000; ++i) {
+      xs.push_back(rng.UniformU64(g.total_opages()));
+      xs.push_back(rng.NextU64());
+    }
+    for (const uint64_t x : xs) {
+      ASSERT_EQ(g.BlockOfFPage(x), x / g.fpages_per_block)
+          << "x " << x << " fpages_per_block " << g.fpages_per_block;
+      ASSERT_EQ(g.FPageOfSlot(x), x / g.opages_per_fpage)
+          << "x " << x << " opages_per_fpage " << g.opages_per_fpage;
+    }
   }
 }
 

@@ -100,5 +100,53 @@ TEST(ReadDisturbTest, CounterTracksEveryRead) {
   EXPECT_EQ(chip.BlockReadsSinceErase(0), 12u);
 }
 
+// PageRber uses a per-block wear term cached at erase time; it must equal the
+// WearModel expression evaluated from the chip's public state, bit for bit,
+// for every page after every erase and read of a random sequence.
+TEST(ReadDisturbTest, PageRberMatchesWearModelAfterEveryOp) {
+  FPageEccGeometry ecc;
+  WearModelConfig wear = testing_util::FastWear(ecc, 3000, /*sigma=*/0.35);
+  wear.read_disturb_per_read = 1e-9;
+  FlashChip chip(TinyGeometry(), wear, FlashLatencyConfig{}, /*seed=*/9);
+  const FlashGeometry& geometry = chip.geometry();
+  const auto check_all_pages = [&](int step) {
+    for (FPageIndex f = 0; f < geometry.total_fpages(); ++f) {
+      const BlockIndex block = f / geometry.fpages_per_block;
+      const double expected = chip.wear_model().Rber(
+          static_cast<double>(chip.BlockPec(block)), chip.PageFactor(f),
+          chip.BlockReadsSinceErase(block));
+      ASSERT_EQ(chip.PageRber(f), expected) << "step " << step << " fpage "
+                                            << f;
+    }
+  };
+  const auto program_block = [&](BlockIndex block) {
+    for (uint32_t i = 0; i < geometry.fpages_per_block; ++i) {
+      ASSERT_TRUE(chip.ProgramFPage(geometry.FirstFPageOfBlock(block) + i)
+                      .ok());
+    }
+  };
+  check_all_pages(-1);  // pristine: the pec == 0 branch
+  for (BlockIndex block = 0; block < geometry.total_blocks(); ++block) {
+    program_block(block);
+  }
+  Rng rng(2024);
+  for (int step = 0; step < 2000; ++step) {
+    const BlockIndex block = rng.UniformU64(geometry.total_blocks());
+    if (rng.UniformU64(4) == 0) {
+      ASSERT_TRUE(chip.EraseBlock(block).ok());
+      program_block(block);
+    } else {
+      const FPageIndex fpage = geometry.FirstFPageOfBlock(block) +
+                               rng.UniformU64(geometry.fpages_per_block);
+      ASSERT_TRUE(chip.ReadFPage(fpage, L0Ecc(), 4096).ok());
+    }
+    check_all_pages(step);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(chip.total_erases(), 400u);
+}
+
 }  // namespace
 }  // namespace salamander

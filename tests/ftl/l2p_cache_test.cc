@@ -6,6 +6,9 @@
 // contracts with hand-picked states.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "ftl/ftl.h"
 #include "ftl/journal.h"
 #include "tests/testing/device_builder.h"
@@ -301,6 +304,32 @@ TEST(FtlL2pCacheTest, ExtendGrowsTheMapPageTable) {
   ASSERT_TRUE(ftl.Replay().ok());
   EXPECT_EQ(ftl.l2p_map_pages(), 8u);
   ASSERT_TRUE(ftl.CheckInvariants().ok());
+}
+
+// MapPageOf shifts for a power-of-two map page and divides otherwise; both
+// arms must equal plain division. The odd map page runs on an odd geometry
+// so every index helper takes its divide arm.
+TEST(FtlL2pCacheTest, MapPageOfMatchesDivision) {
+  FlashGeometry odd = TinyGeometry();
+  odd.fpages_per_block = 6;
+  odd.opages_per_fpage = 3;
+  for (const auto& [geometry, entries] :
+       {std::pair{TinyGeometry(), uint64_t{8}},
+        std::pair{TinyGeometry(), uint64_t{0}},  // auto: opage_bytes / 8
+        std::pair{odd, uint64_t{24}}}) {
+    FtlConfig config = TestFtlConfig(geometry, /*nominal_pec=*/1000000);
+    config.ecc_geometry.opages_per_fpage = geometry.opages_per_fpage;
+    config.l2p_cache_entries = 64;
+    config.l2p_entries_per_map_page = entries;
+    Ftl ftl(config);
+    ftl.ExtendLogicalSpace(256);
+    const uint64_t per_page = ftl.l2p_entries_per_map_page();
+    ASSERT_EQ(per_page, entries == 0 ? 512u : entries);
+    for (uint64_t lpo = 0; lpo < 4096; ++lpo) {
+      ASSERT_EQ(ftl.MapPageOf(lpo), lpo / per_page) << "lpo " << lpo;
+    }
+    EXPECT_EQ(ftl.MapPageOf(UINT64_MAX), UINT64_MAX / per_page);
+  }
 }
 
 }  // namespace

@@ -45,12 +45,15 @@ constexpr uint64_t kOps = 6000;
 
 class ReferenceMapOracle {
  public:
-  // `map_pages_cached` is the L2P window in map pages; 0 leaves the map
-  // unpaged.
+  // `map_pages_cached` is the L2P window in map pages of
+  // `entries_per_map_page` entries; 0 leaves the map unpaged.
   ReferenceMapOracle(uint64_t logical, uint64_t map_pages_cached,
-                     uint64_t seed)
+                     uint64_t seed, const FlashGeometry& geometry,
+                     uint64_t entries_per_map_page)
       : logical_(logical),
-        ftl_(MakeConfig(map_pages_cached, seed)),
+        entries_per_map_page_(entries_per_map_page),
+        ftl_(MakeConfig(geometry, map_pages_cached, entries_per_map_page,
+                        seed)),
         rng_(seed),
         mapped_(logical_, 0),
         last_touch_(logical_, 0) {
@@ -93,12 +96,14 @@ class ReferenceMapOracle {
   }
 
  private:
-  static FtlConfig MakeConfig(uint64_t map_pages_cached, uint64_t seed) {
-    FtlConfig config = TestFtlConfig(TinyGeometry(), /*nominal_pec=*/1000000,
-                                     seed);
+  static FtlConfig MakeConfig(const FlashGeometry& geometry,
+                              uint64_t map_pages_cached,
+                              uint64_t entries_per_map_page, uint64_t seed) {
+    FtlConfig config = TestFtlConfig(geometry, /*nominal_pec=*/1000000, seed);
+    config.ecc_geometry.opages_per_fpage = geometry.opages_per_fpage;
     config.journal_capacity_records = 512;
-    config.l2p_cache_entries = map_pages_cached * kEntriesPerMapPage;
-    config.l2p_entries_per_map_page = kEntriesPerMapPage;
+    config.l2p_cache_entries = map_pages_cached * entries_per_map_page;
+    config.l2p_entries_per_map_page = entries_per_map_page;
     return config;
   }
 
@@ -236,8 +241,9 @@ class ReferenceMapOracle {
   std::vector<uint64_t> DurableCopy(uint64_t map_index) const {
     std::vector<uint64_t> copy;
     bool any = false;
-    for (uint64_t lpo = map_index * kEntriesPerMapPage;
-         lpo < (map_index + 1) * kEntriesPerMapPage && lpo < logical_; ++lpo) {
+    for (uint64_t lpo = map_index * entries_per_map_page_;
+         lpo < (map_index + 1) * entries_per_map_page_ && lpo < logical_;
+         ++lpo) {
       copy.push_back(ftl_.PhysicalSlot(lpo));
       any |= copy.back() != Ftl::kUnmappedSlot;
     }
@@ -245,6 +251,7 @@ class ReferenceMapOracle {
   }
 
   const uint64_t logical_;
+  const uint64_t entries_per_map_page_;
   Ftl ftl_;
   Rng rng_;
   std::vector<uint8_t> mapped_;       // per lpo: acknowledged state
@@ -258,8 +265,11 @@ class ReferenceMapOracle {
   uint64_t image_checks_ = 0;
 };
 
-void RunSequence(uint64_t logical, uint64_t map_pages_cached, uint64_t seed) {
-  ReferenceMapOracle oracle(logical, map_pages_cached, seed);
+void RunSequence(uint64_t logical, uint64_t map_pages_cached, uint64_t seed,
+                 const FlashGeometry& geometry = TinyGeometry(),
+                 uint64_t entries_per_map_page = kEntriesPerMapPage) {
+  ReferenceMapOracle oracle(logical, map_pages_cached, seed, geometry,
+                            entries_per_map_page);
   for (uint64_t i = 0; i < kOps; ++i) {
     oracle.Step();
     if (::testing::Test::HasFatalFailure()) {
@@ -302,6 +312,21 @@ TEST(FtlReferenceMapTest, WholeMapWindowMatchesReference) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RunSequence(kLogical, /*map_pages_cached=*/kLogical / kEntriesPerMapPage,
                 seed);
+  }
+}
+
+// Every shipped geometry is a power of two, so the index helpers shift. This
+// one is not (6 fPages per block, 3 oPages per fPage, 24 entries per map
+// page), so BlockOfFPage, FPageOfSlot and MapPageOf take their divide arm.
+TEST(FtlReferenceMapTest, NonPowerOfTwoGeometryMatchesReference) {
+  FlashGeometry odd = TinyGeometry();
+  odd.blocks_per_plane = 32;
+  odd.fpages_per_block = 6;
+  odd.opages_per_fpage = 3;
+  for (uint64_t seed : {101u, 202u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunSequence(kFlushingLogical, /*map_pages_cached=*/2, seed, odd,
+                /*entries_per_map_page=*/24);
   }
 }
 

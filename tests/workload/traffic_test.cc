@@ -465,5 +465,56 @@ TEST(TrafficEngineTest, CollectMetricsExportsCounts) {
   EXPECT_NE(json.find("workload.tenant.1.achieved_skew"), std::string::npos);
 }
 
+// StreamDigest folds runs of zero bytes into one multiply; it must equal
+// FNV-1a computed byte by byte over the ops EmitDay returned. Tenant ids
+// above 255, a churning tenant and an address space wider than 32 bits
+// cover multi-byte fields of every op field.
+TEST(TrafficEngineTest, StreamDigestMatchesByteSerialFnv) {
+  for (const uint64_t space : {uint64_t{1000}, (uint64_t{1} << 40) + 7}) {
+    TenantConfig tenant = SmallTenant();
+    tenant.ops_per_day = 3.0;
+    tenant.churn_per_day = 0.3;
+    TrafficEngine engine(MakeUniformTraffic(300, tenant, 5), space);
+    std::vector<TrafficOp> ops;
+    for (uint32_t day = 0; day < 4; ++day) {
+      engine.EmitDay(day, &ops);
+    }
+    ASSERT_GT(ops.size(), 1000u);
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const TrafficOp& op : ops) {
+      for (const uint64_t value :
+           {uint64_t{op.tenant}, uint64_t{op.is_read ? 1u : 0u}, op.address}) {
+        for (int byte = 0; byte < 8; ++byte) {
+          hash ^= (value >> (byte * 8)) & 0xff;
+          hash *= 0x100000001b3ULL;
+        }
+      }
+    }
+    EXPECT_EQ(engine.StreamDigest(), hash) << "address space " << space;
+  }
+}
+
+TEST(TrafficEngineTest, ModByReciprocalMatchesModulo) {
+  Rng rng(17);
+  for (const uint64_t d :
+       {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{10922},
+        (uint64_t{1} << 32) + 1, (uint64_t{1} << 63) + 1, UINT64_MAX}) {
+    const uint64_t inv = UINT64_MAX / d;
+    const uint64_t top = inv * d;  // the largest multiple of d
+    std::vector<uint64_t> xs = {0,       1,       d - 1,          d,
+                                top - 1, top,     UINT64_MAX - 1, UINT64_MAX};
+    if (d <= UINT64_MAX / 2) {
+      xs.insert(xs.end(), {d + 1, 2 * d - 1, 2 * d, top - d, top - d + 1});
+    }
+    for (int i = 0; i < 10000; ++i) {
+      xs.push_back(rng.NextU64());
+      xs.push_back(rng.NextU64() >> rng.UniformU64(64));
+    }
+    for (const uint64_t x : xs) {
+      ASSERT_EQ(ModByReciprocal(x, d, inv), x % d) << "x " << x << " d " << d;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace salamander
