@@ -1,7 +1,6 @@
 #include "common/bitmap.h"
 
 #include <bit>
-#include <cassert>
 
 namespace salamander {
 
@@ -17,21 +16,6 @@ void Bitmap::Resize(uint64_t size, bool value) {
   if (value && size_ % kBitsPerWord != 0) {
     words_.back() &= (1ULL << (size_ % kBitsPerWord)) - 1;
   }
-}
-
-bool Bitmap::Test(uint64_t index) const {
-  assert(index < size_);
-  return (words_[index / kBitsPerWord] >> (index % kBitsPerWord)) & 1ULL;
-}
-
-void Bitmap::Set(uint64_t index) {
-  assert(index < size_);
-  words_[index / kBitsPerWord] |= 1ULL << (index % kBitsPerWord);
-}
-
-void Bitmap::Clear(uint64_t index) {
-  assert(index < size_);
-  words_[index / kBitsPerWord] &= ~(1ULL << (index % kBitsPerWord));
 }
 
 void Bitmap::Assign(uint64_t index, bool value) {

@@ -4,6 +4,7 @@
 #ifndef SALAMANDER_COMMON_BITMAP_H_
 #define SALAMANDER_COMMON_BITMAP_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -18,9 +19,20 @@ class Bitmap {
 
   uint64_t size() const { return size_; }
 
-  bool Test(uint64_t index) const;
-  void Set(uint64_t index);
-  void Clear(uint64_t index);
+  // Single-bit access is inline: the mDisk layer tests and sets a written
+  // bit on every host write, and the flash chip on every program and read.
+  bool Test(uint64_t index) const {
+    assert(index < size_);
+    return (words_[index / kBitsPerWord] >> (index % kBitsPerWord)) & 1ULL;
+  }
+  void Set(uint64_t index) {
+    assert(index < size_);
+    words_[index / kBitsPerWord] |= 1ULL << (index % kBitsPerWord);
+  }
+  void Clear(uint64_t index) {
+    assert(index < size_);
+    words_[index / kBitsPerWord] &= ~(1ULL << (index % kBitsPerWord));
+  }
   void Assign(uint64_t index, bool value);
 
   // Number of set bits in the whole map.

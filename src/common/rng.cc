@@ -15,10 +15,6 @@ inline uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -33,44 +29,16 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformU64(uint64_t bound) {
-  if (bound == 0) {
-    return 0;
-  }
-  // Lemire's method: multiply-high with rejection of the biased low range.
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      low = static_cast<uint64_t>(m);
-    }
+uint64_t Rng::UniformU64Reject(uint64_t bound, __uint128_t m) {
+  const uint64_t threshold = (0 - bound) % bound;
+  while (static_cast<uint64_t>(m) < threshold) {
+    m = static_cast<__uint128_t>(NextU64()) * static_cast<__uint128_t>(bound);
   }
   return static_cast<uint64_t>(m >> 64);
 }
 
 uint64_t Rng::UniformInRange(uint64_t lo, uint64_t hi) {
   return lo + UniformU64(hi - lo + 1);
-}
-
-double Rng::UniformDouble() {
-  // Top 53 bits → [0, 1) with full double precision.
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Normal() {
@@ -99,16 +67,6 @@ double Rng::LogNormal(double mu, double sigma) {
 double Rng::Exponential(double lambda) {
   double u = 1.0 - UniformDouble();  // (0, 1]
   return -std::log(u) / lambda;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return UniformDouble() < p;
 }
 
 uint64_t Rng::Binomial(uint64_t n, double p) {

@@ -17,18 +17,42 @@ class Rng {
   // Seeds the four 64-bit words of state from `seed` via SplitMix64.
   explicit Rng(uint64_t seed = 0x5a1aaa0de5000001ULL);
 
-  // Next raw 64 random bits.
-  uint64_t NextU64();
+  // Next raw 64 random bits. Inline: it runs on every draw of every stream.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). bound == 0 returns 0.
-  // Uses Lemire's multiply-shift rejection method (unbiased).
-  uint64_t UniformU64(uint64_t bound);
+  // Uses Lemire's multiply-shift rejection method (unbiased). The accept
+  // path is inline; a draw that lands in the low range, where rejection may
+  // be needed, continues out of line.
+  uint64_t UniformU64(uint64_t bound) {
+    if (bound == 0) {
+      return 0;
+    }
+    const __uint128_t m =
+        static_cast<__uint128_t>(NextU64()) * static_cast<__uint128_t>(bound);
+    if (static_cast<uint64_t>(m) < bound) {
+      return UniformU64Reject(bound, m);
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   uint64_t UniformInRange(uint64_t lo, uint64_t hi);
 
-  // Uniform double in [0, 1).
-  double UniformDouble();
+  // Uniform double in [0, 1): the top 53 bits, with full double precision.
+  double UniformDouble() {
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   // Standard normal via Box–Muller (cached second value).
   double Normal();
@@ -41,8 +65,17 @@ class Rng {
   // Exponential with rate lambda (> 0). Used for failure inter-arrival times.
   double Exponential(double lambda);
 
-  // Bernoulli trial with probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  // Bernoulli trial with probability p (clamped to [0,1]). p <= 0 and
+  // p >= 1 draw nothing.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return UniformDouble() < p;
+  }
 
   // Binomial(n, p) sample: number of successes in n trials. Exact Bernoulli
   // trials for n <= 64; otherwise the Poisson limit Poisson(n*p) (capped at
@@ -68,6 +101,13 @@ class Rng {
   uint64_t ForkSeed() { return NextU64(); }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  // Lemire's rejection loop for a first product `m` whose low word fell
+  // below `bound`.
+  uint64_t UniformU64Reject(uint64_t bound, __uint128_t m);
+
   uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

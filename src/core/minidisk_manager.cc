@@ -107,7 +107,8 @@ uint64_t MinidiskManager::live_capacity_bytes() const {
          ftl_->config().geometry.opage_bytes;
 }
 
-StatusOr<SimDuration> MinidiskManager::Write(MinidiskId mdisk, uint64_t lba) {
+Status MinidiskManager::Write(MinidiskId mdisk, uint64_t lba,
+                              SimDuration& latency) {
   if (mdisk >= minidisks_.size()) {
     return NotFoundError("Write: unknown mDisk " + std::to_string(mdisk));
   }
@@ -123,34 +124,31 @@ StatusOr<SimDuration> MinidiskManager::Write(MinidiskId mdisk, uint64_t lba) {
     return OutOfRangeError("Write: lba " + std::to_string(lba));
   }
   const uint64_t lpo = minidisks_[mdisk].first_lpo + lba;
-  StatusOr<SimDuration> result = ftl_->Write(lpo);
-  if (!result.ok() &&
-      result.status().code() == StatusCode::kResourceExhausted) {
+  // A refused attempt leaves `latency` unchanged, so only a retried
+  // attempt's cost is ever reported.
+  Status status = ftl_->Write(lpo, latency);
+  if (status.code() == StatusCode::kResourceExhausted) {
     // The device ran out of space mid-write because wear outpaced
     // decommissioning. Shed capacity and retry. Eq. 2's accounting can lag
     // physical reality (in-service pages fragmented across mostly-dead
     // blocks), so if the deficit formula sees no problem, force-shed anyway:
     // the FTL's failed allocation is ground truth.
     RunCapacityMaintenance();
-    if (!result.ok() &&
-        result.status().code() == StatusCode::kResourceExhausted &&
-        minidisks_[mdisk].state == MinidiskState::kLive) {
-      if (ShedCapacityNow()) {
-        if (minidisks_[mdisk].state != MinidiskState::kLive) {
-          return CapacityExhaustedError(
-              "Write: mDisk decommissioned while shedding capacity");
-        }
-        result = ftl_->Write(lpo);
+    if (minidisks_[mdisk].state == MinidiskState::kLive && ShedCapacityNow()) {
+      if (minidisks_[mdisk].state != MinidiskState::kLive) {
+        return CapacityExhaustedError(
+            "Write: mDisk decommissioned while shedding capacity");
       }
+      status = ftl_->Write(lpo, latency);
     }
   }
-  if (result.ok() && !written_[mdisk].Test(lba)) {
+  if (status.ok() && !written_[mdisk].Test(lba)) {
     written_[mdisk].Set(lba);
     ++valid_counts_[mdisk];
   }
   ++writes_since_forecast_;
   RunCapacityMaintenance();
-  return result;
+  return status;
 }
 
 StatusOr<ReadResult> MinidiskManager::Read(MinidiskId mdisk, uint64_t lba) {
@@ -185,22 +183,7 @@ StatusOr<RangeReadResult> MinidiskManager::ReadRange(MinidiskId mdisk,
   return ftl_->ReadRange(minidisks_[mdisk].first_lpo + lba, count);
 }
 
-bool MinidiskManager::CapacityDeficit() const {
-  // Draining mDisks no longer count as advertised capacity but their data
-  // still occupies flash until the drain finishes.
-  return ftl_->usable_opages() <
-         live_logical_opages_ + draining_logical_opages_ + reserve_opages_;
-}
-
-void MinidiskManager::RunCapacityMaintenance() {
-  // The common case after a host write: no transition to drain, no deficit
-  // to shed, less than an mDisk of limbo to regenerate, and no drain policy
-  // to consult. Every loop below would then do nothing.
-  if (!config_.drain_before_decommission && !ftl_->HasTransitions() &&
-      !CapacityDeficit() &&
-      ftl_->reclaimable_limbo_opages() < config_.msize_opages) {
-    return;
-  }
+void MinidiskManager::RunCapacityMaintenanceRound() {
   // Drain transitions first: their only role here is ordering (the FTL
   // already updated its accounting); keeping the queue short bounds memory.
   ftl_->TakeTransitions();

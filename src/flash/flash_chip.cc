@@ -35,9 +35,14 @@ StatusOr<SimDuration> FlashChip::EraseBlock(BlockIndex block) {
     return DataLossError("EraseBlock: injected erase failure at block " +
                          std::to_string(block));
   }
-  ++block_pec_[block];
-  block_wear_term_[block] = std::pow(static_cast<double>(block_pec_[block]),
-                                     wear_model_.config().exponent);
+  const uint32_t pec = ++block_pec_[block];
+  // The same pow the wear term always took, made once per PEC per chip.
+  while (wear_term_by_pec_.size() <= pec) {
+    wear_term_by_pec_.push_back(
+        std::pow(static_cast<double>(wear_term_by_pec_.size()),
+                 wear_model_.config().exponent));
+  }
+  block_wear_term_[block] = wear_term_by_pec_[pec];
   block_reads_[block] = 0;  // read-disturb charge dissipates with the erase
   next_program_[block] = 0;
   const FPageIndex first = geometry_.FirstFPageOfBlock(block);

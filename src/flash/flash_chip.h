@@ -109,9 +109,12 @@ class FlashChip {
   FaultInjector* faults_ = nullptr;  // not owned
 
   std::vector<uint32_t> block_pec_;       // per block
-  // pec^exponent per block, recomputed by EraseBlock: the wear term of
-  // every page of the block, so PageRber makes no libm call.
+  // pec^exponent per block, set by EraseBlock: the wear term of every page
+  // of the block, so PageRber makes no libm call.
   std::vector<double> block_wear_term_;
+  // pec^exponent by PEC, filled on the first erase to reach each PEC, so an
+  // erase makes no libm call either.
+  std::vector<double> wear_term_by_pec_;
   std::vector<uint32_t> block_reads_;     // per block, since last erase
   std::vector<float> page_factor_;        // per fPage, lognormal median 1
   std::vector<uint16_t> next_program_;    // per block: next programmable page

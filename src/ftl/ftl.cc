@@ -133,23 +133,24 @@ uint64_t Ftl::ExtendLogicalSpace(uint64_t opages) {
 // Host I/O
 // ---------------------------------------------------------------------------
 
-StatusOr<SimDuration> Ftl::Write(uint64_t lpo) {
+Status Ftl::Write(uint64_t lpo, SimDuration& latency) {
   if (lpo >= mapping_.size()) {
     return OutOfRangeError("Write: lpo " + std::to_string(lpo));
   }
-  SimDuration latency = 0;
+  SimDuration cost = 0;
   ++stats_.host_writes;
   if (l2p_enabled()) {
-    L2pTouch(lpo, /*make_dirty=*/true, latency);
+    L2pTouch(lpo, /*make_dirty=*/true, cost);
     if (DurableOf(mapping_[lpo]) != kUnmapped) {
       L2pNoteChange(lpo, mapping_[lpo]);  // its flash copy is superseded
     }
   }
-  SALA_RETURN_IF_ERROR(BufferWrite(lpo, latency));
+  SALA_RETURN_IF_ERROR(BufferWrite(lpo, cost));
   if (l2p_enabled()) {
-    L2pEvictToCapacity(latency);
+    L2pEvictToCapacity(cost);
   }
-  return latency;
+  latency += cost;
+  return OkStatus();
 }
 
 StatusOr<ReadResult> Ftl::Read(uint64_t lpo) {
@@ -348,21 +349,8 @@ Status Ftl::BufferWrite(uint64_t lpo, SimDuration& latency) {
   return FlushIfReady(Stream::kHost, latency);
 }
 
-Status Ftl::FlushIfReady(Stream stream, SimDuration& latency) {
+Status Ftl::FlushIfReadySlow(Stream stream, SimDuration& latency) {
   Frontier& f = frontier(stream);
-  // Most calls find nothing to do. When the cursor page of the active block
-  // is in service, NextProgramTarget would return it with no side effects,
-  // so the loop's first pass is decided here without the call: a buffer that
-  // neither fills that page nor overflows stays buffered.
-  if (f.has_active_block && f.next_page < config_.geometry.fpages_per_block) {
-    const FPageIndex cursor =
-        config_.geometry.FirstFPageOfBlock(f.active_block) + f.next_page;
-    if (page_state_[cursor] == PageState::kInService &&
-        f.buffer_valid < PageCapacity(cursor) &&
-        f.buffer.size() <= kWriteBufferOPages) {
-      return OkStatus();
-    }
-  }
   while (f.buffer_valid > 0) {
     SALA_ASSIGN_OR_RETURN(FPageIndex target,
                           NextProgramTarget(stream, latency));
@@ -406,19 +394,24 @@ Status Ftl::FlushToTarget(Stream stream, bool allow_partial,
     }
     // Gather up to `capacity` live buffer entries, discarding stale ones.
     // A trim-then-rewrite can leave two deque entries for one lpo that both
-    // still look "buffered" at pop time, so dedupe within the batch (it holds
-    // at most opages_per_fpage entries; linear scan is fine). The buffer is
-    // a member so a flush allocates nothing; nothing between the gather and
+    // still look "buffered" at pop time. The gather marks each lpo it takes
+    // kGathered, so a second entry for it reads as stale, and puts the
+    // stream's sentinel back before anything else runs. The batch is a
+    // member so a flush allocates nothing; nothing between the gather and
     // the return below flushes again.
+    const uint64_t sentinel = BufferSentinel(stream);
     std::vector<uint64_t>& batch = flush_batch_;
     batch.clear();
     while (batch.size() < capacity && !f.buffer.empty()) {
       const uint64_t lpo = f.buffer.front();
       f.buffer.pop_front();
-      if (lpo < mapping_.size() && mapping_[lpo] == BufferSentinel(stream) &&
-          std::find(batch.begin(), batch.end(), lpo) == batch.end()) {
+      if (lpo < mapping_.size() && mapping_[lpo] == sentinel) {
+        mapping_[lpo] = kGathered;
         batch.push_back(lpo);
       }
+    }
+    for (const uint64_t lpo : batch) {
+      mapping_[lpo] = sentinel;
     }
     if (batch.empty()) {
       return OkStatus();  // everything was stale; nothing to program
@@ -605,8 +598,13 @@ Status Ftl::GarbageCollectOnce(SimDuration& latency) {
     return ResourceExhaustedError("GC: no victim block");
   }
   in_gc_ = true;
-  // Relocate every valid oPage into the GC stream's buffer (the NV buffer
-  // makes this safe: the erase below only happens after re-buffering).
+  // Relocate every valid oPage into the GC stream's buffer, then erase the
+  // victim. The erase does not wait for the relocated data to be programmed:
+  // a partial page of relocated lpos can still sit in the GC buffer, which
+  // is volatile, when the victim is erased. A power loss right after this
+  // round therefore loses data that a host Flush() had made durable (it is
+  // flagged rolled back, not silent). The order is kept because fixing it
+  // changes simulated results; see ROADMAP.md, item 3.
   const OPageSlot first_slot =
       config_.geometry.FirstSlotOfFPage(config_.geometry.FirstFPageOfBlock(victim));
   const uint64_t slots = static_cast<uint64_t>(config_.geometry.fpages_per_block) *
@@ -773,7 +771,7 @@ void Ftl::RetireInServicePage(FPageIndex fpage, unsigned old_level,
   if (new_level <= config_.max_usable_level) {
     page_state_[fpage] = PageState::kLimbo;
     page_level_[fpage] = static_cast<uint8_t>(new_level);
-    ++limbo_counts_[new_level];
+    AddLimbo(new_level);
     limbo_pages_[new_level].push_back(fpage);
   } else {
     page_state_[fpage] = PageState::kDead;
@@ -787,12 +785,12 @@ void Ftl::RetireInServicePage(FPageIndex fpage, unsigned old_level,
 
 void Ftl::AdvanceLimboPage(FPageIndex fpage, unsigned old_level,
                            unsigned new_level) {
-  --limbo_counts_[old_level];
+  RemoveLimbo(old_level);
   // The limbo_pages_ entry at the old level goes stale; ClaimLimboCapacity
   // validates level and state before using an entry.
   if (new_level <= config_.max_usable_level) {
     page_level_[fpage] = static_cast<uint8_t>(new_level);
-    ++limbo_counts_[new_level];
+    AddLimbo(new_level);
     limbo_pages_[new_level].push_back(fpage);
   } else {
     page_state_[fpage] = PageState::kDead;
@@ -812,13 +810,18 @@ uint64_t Ftl::limbo_fpages(unsigned level) const {
   return level < limbo_counts_.size() ? limbo_counts_[level] : 0;
 }
 
-uint64_t Ftl::reclaimable_limbo_opages() const {
-  uint64_t total = 0;
-  for (unsigned level = 0; level <= config_.max_usable_level; ++level) {
-    total +=
-        (config_.geometry.opages_per_fpage - level) * limbo_counts_[level];
+void Ftl::AddLimbo(unsigned level) {
+  ++limbo_counts_[level];
+  if (level <= config_.max_usable_level) {
+    reclaimable_limbo_opages_ += config_.geometry.opages_per_fpage - level;
   }
-  return total;
+}
+
+void Ftl::RemoveLimbo(unsigned level) {
+  --limbo_counts_[level];
+  if (level <= config_.max_usable_level) {
+    reclaimable_limbo_opages_ -= config_.geometry.opages_per_fpage - level;
+  }
 }
 
 uint64_t Ftl::ClaimLimboCapacity(uint64_t opages) {
@@ -837,7 +840,7 @@ uint64_t Ftl::ClaimLimboCapacity(uint64_t opages) {
       const uint64_t capacity = config_.geometry.opages_per_fpage - level;
       usable_opages_ += capacity;
       claimed += capacity;
-      --limbo_counts_[level];
+      RemoveLimbo(level);
       JournalPageState(fpage);
       ReactivateIfParked(config_.geometry.BlockOfFPage(fpage));
     }
@@ -951,16 +954,6 @@ EccParams Ftl::EccForOPageRead(unsigned level) const {
       // A single-oPage read engages only that oPage's stripes.
       .stripes = config_.ecc_geometry.stripes_per_opage,
   };
-}
-
-uint64_t Ftl::PageCapacity(FPageIndex fpage) const {
-  if (config_.ecc_placement == EccPlacement::kDedicated) {
-    // Data pages keep every oPage; the ECC overhead is paid in whole parity
-    // pages via MaybeProgramParityPage, averaging to the same
-    // (opages_per_fpage - L) per page that the accounting assumes.
-    return config_.geometry.opages_per_fpage;
-  }
-  return config_.geometry.opages_per_fpage - page_level_[fpage];
 }
 
 uint64_t Ftl::PhysicalSlot(uint64_t lpo) const {
@@ -1610,6 +1603,7 @@ Status Ftl::Replay() {
 
   // Pass 3: rebuild every derived structure from the replayed ground truth.
   limbo_counts_.assign(geometry.opages_per_fpage, 0);
+  reclaimable_limbo_opages_ = 0;
   limbo_pages_.assign(geometry.opages_per_fpage, {});
   usable_opages_ = 0;
   dead_fpages_ = 0;
@@ -1619,7 +1613,7 @@ Status Ftl::Replay() {
         usable_opages_ += geometry.opages_per_fpage - page_level_[fpage];
         break;
       case PageState::kLimbo:
-        ++limbo_counts_[page_level_[fpage]];
+        AddLimbo(page_level_[fpage]);
         limbo_pages_[page_level_[fpage]].push_back(fpage);
         break;
       case PageState::kDead:
@@ -1860,6 +1854,10 @@ Status Ftl::CheckInvariants() const {
       continue;
     }
     ++mapped;
+    if (entry == kGathered) {
+      return InternalError("gather sentinel left in mapping at lpo " +
+                           std::to_string(lpo));
+    }
     if (entry == kInBufferHost) {
       ++buffered[0];
       continue;
@@ -1951,6 +1949,16 @@ Status Ftl::CheckInvariants() const {
       return InternalError("limbo count off at level " +
                            std::to_string(level));
     }
+  }
+  uint64_t reclaimable = 0;
+  for (size_t level = 0;
+       level <= config_.max_usable_level && level < limbo.size(); ++level) {
+    reclaimable += (geometry.opages_per_fpage - level) * limbo[level];
+  }
+  if (reclaimable != reclaimable_limbo_opages_) {
+    return InternalError("reclaimable_limbo_opages off: counted " +
+                         std::to_string(reclaimable) + " vs " +
+                         std::to_string(reclaimable_limbo_opages_));
   }
 
   // 4. block-state sanity: free count and retired tally.

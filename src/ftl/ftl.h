@@ -235,9 +235,19 @@ class Ftl {
 
   // ---- Host I/O ------------------------------------------------------------
 
-  // Writes one logical oPage. May trigger buffer flushes and GC; the returned
-  // latency covers everything on the critical path.
-  StatusOr<SimDuration> Write(uint64_t lpo);
+  // Writes one logical oPage. May trigger buffer flushes and GC. On success
+  // adds the latency of everything on the critical path to `latency`; on
+  // failure leaves it unchanged.
+  Status Write(uint64_t lpo, SimDuration& latency);
+  // The same write, returning its latency.
+  StatusOr<SimDuration> Write(uint64_t lpo) {
+    SimDuration latency = 0;
+    Status status = Write(lpo, latency);
+    if (!status.ok()) {
+      return status;
+    }
+    return latency;
+  }
 
   // Reads one logical oPage. kNotFound if never written or trimmed;
   // kDataLoss if the flash read was uncorrectable after retries. Injected
@@ -267,7 +277,10 @@ class Ftl {
 
   // Total oPage capacity recoverable from limbo pages at usable levels:
   // sum over j <= max_usable_level of (opages_per_fpage - j) * limbo[j].
-  uint64_t reclaimable_limbo_opages() const;
+  // A running total: it changes only where a page enters or leaves limbo.
+  uint64_t reclaimable_limbo_opages() const {
+    return reclaimable_limbo_opages_;
+  }
 
   // Moves limbo pages (lowest level first) into service until at least
   // `opages` of capacity is claimed; returns the amount actually claimed.
@@ -442,6 +455,9 @@ class Ftl {
   static constexpr uint64_t kInBufferHost = UINT64_MAX - 2;
   static constexpr uint64_t kInBufferGc = UINT64_MAX - 1;
   static constexpr uint64_t kUnmapped = UINT64_MAX;
+  // Marks an lpo FlushToTarget's gather has taken; it never outlives the
+  // gather (CheckInvariants rejects it).
+  static constexpr uint64_t kGathered = UINT64_MAX - 3;
   static constexpr uint64_t kSlotFree = UINT64_MAX;
 
   static constexpr bool IsBuffered(uint64_t entry) {
@@ -462,7 +478,27 @@ class Ftl {
   // Places a host write of `lpo` in the host stream's buffer (GC relocation
   // fills the GC stream's buffer itself, in GarbageCollectOnce).
   Status BufferWrite(uint64_t lpo, SimDuration& latency);
-  Status FlushIfReady(Stream stream, SimDuration& latency);
+  // Programs the stream's buffer while it fills the next target page or
+  // overflows. Most calls find nothing to do: when the cursor page of the
+  // active block is in service, NextProgramTarget would return it with no
+  // side effects, so a buffer that neither fills that page nor overflows
+  // stays buffered. That test is made here, inline; the rest is
+  // FlushIfReadySlow.
+  Status FlushIfReady(Stream stream, SimDuration& latency) {
+    const Frontier& f = frontier(stream);
+    if (f.has_active_block &&
+        f.next_page < config_.geometry.fpages_per_block) {
+      const FPageIndex cursor =
+          config_.geometry.FirstFPageOfBlock(f.active_block) + f.next_page;
+      if (page_state_[cursor] == PageState::kInService &&
+          f.buffer_valid < PageCapacity(cursor) &&
+          f.buffer.size() <= kWriteBufferOPages) {
+        return OkStatus();
+      }
+    }
+    return FlushIfReadySlow(stream, latency);
+  }
+  Status FlushIfReadySlow(Stream stream, SimDuration& latency);
   // Programs the next target fPage from the stream's buffer; `allow_partial`
   // permits programming with fewer oPages than the page holds.
   Status FlushToTarget(Stream stream, bool allow_partial,
@@ -483,11 +519,24 @@ class Ftl {
                            unsigned new_level);
   void AdvanceLimboPage(FPageIndex fpage, unsigned old_level,
                         unsigned new_level);
+  // Count one page into or out of limbo at `level`, keeping
+  // reclaimable_limbo_opages_ in step with limbo_counts_.
+  void AddLimbo(unsigned level);
+  void RemoveLimbo(unsigned level);
 
   // --- helpers ---
   void InvalidateSlot(OPageSlot slot);
   EccParams EccForOPageRead(unsigned level) const;
-  uint64_t PageCapacity(FPageIndex fpage) const;
+  // oPages a data program of `fpage` stores. Under dedicated placement data
+  // pages keep every oPage; the ECC overhead is paid in whole parity pages
+  // via MaybeProgramParityPage, averaging to the same (opages_per_fpage - L)
+  // per page that the accounting assumes.
+  uint64_t PageCapacity(FPageIndex fpage) const {
+    if (config_.ecc_placement == EccPlacement::kDedicated) {
+      return config_.geometry.opages_per_fpage;
+    }
+    return config_.geometry.opages_per_fpage - page_level_[fpage];
+  }
   // Extra latency charged when a read touches a tired page under dedicated
   // ECC placement (parity-page fetch on cache miss).
   SimDuration DedicatedEccReadPenalty(unsigned level);
@@ -569,6 +618,7 @@ class Ftl {
   std::vector<uint8_t> page_level_;
   std::vector<PageState> page_state_;
   std::vector<uint64_t> limbo_counts_;             // per level
+  uint64_t reclaimable_limbo_opages_ = 0;  // see reclaimable_limbo_opages()
   std::vector<std::vector<FPageIndex>> limbo_pages_;  // per level, lazy
   uint64_t usable_opages_ = 0;
   uint64_t dead_fpages_ = 0;

@@ -140,16 +140,17 @@ double SsdDevice::HealthScore(double pec_horizon_fraction) const {
   return capacity * (1.0 - tiring);
 }
 
-StatusOr<SimDuration> SsdDevice::Write(MinidiskId mdisk, uint64_t lba) {
+Status SsdDevice::Write(MinidiskId mdisk, uint64_t lba,
+                        SimDuration& latency) {
   if (failed_) {
     return DeviceFailedError("Write: device bricked");
   }
   if (config_.faults != nullptr && config_.faults->TransientlyUnavailable()) {
     return UnavailableError("Write: busy plane (injected)");
   }
-  StatusOr<SimDuration> result = manager_->Write(mdisk, lba);
+  Status status = manager_->Write(mdisk, lba, latency);
   CheckBrick();
-  return result;
+  return status;
 }
 
 StatusOr<ReadResult> SsdDevice::Read(MinidiskId mdisk, uint64_t lba) {
@@ -192,28 +193,6 @@ Status SsdDevice::Flush() {
   Status status = manager_->Flush();
   CheckBrick();
   return status;
-}
-
-void SsdDevice::CheckBrick() {
-  if (failed_) {
-    return;
-  }
-  // A device whose remaining mDisks are all draining is read-only, not dead
-  // (SSDs "either fail entirely (i.e., brick) or become read-only", §2):
-  // it keeps serving recovery reads until the drains are acked.
-  bool brick = manager_->live_minidisks() == 0 &&
-               manager_->draining_minidisks() == 0;
-  if (!brick && config_.brick_bad_block_fraction > 0.0) {
-    const double bad_fraction =
-        static_cast<double>(ftl_->retired_blocks()) /
-        static_cast<double>(config_.ftl.geometry.total_blocks());
-    brick = bad_fraction > config_.brick_bad_block_fraction;
-  }
-  if (!brick) {
-    return;
-  }
-  failed_ = true;
-  EmitBrickEvents();
 }
 
 void SsdDevice::Crash(CrashKind kind) {
@@ -323,15 +302,10 @@ void SsdDevice::EmitBrickEvents() {
   }
 }
 
-std::vector<MinidiskEvent> SsdDevice::TakeEvents() {
+std::vector<MinidiskEvent> SsdDevice::TakeEventsSlow() {
   // Manager events first (decommissions that preceded a brick in the same
   // operation), then any synthesized whole-device-failure notifications.
   FaultInjector* faults = config_.faults.get();
-  // Without an injector nothing can be drawn, so an empty set of queues
-  // means an empty poll; this is the common case after a host write.
-  if (faults == nullptr && pending_event_depth() == 0) {
-    return {};
-  }
   // Crash mid-drain fires at the event-poll boundary: the host learns of the
   // loss on the very poll that would have carried drain progress.
   if (faults != nullptr && !failed_ && manager_->draining_minidisks() > 0 &&

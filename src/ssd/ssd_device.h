@@ -71,7 +71,18 @@ class SsdDevice {
 
   // ---- Host I/O (fails with kDeviceFailed once bricked) -------------------
 
-  StatusOr<SimDuration> Write(MinidiskId mdisk, uint64_t lba);
+  // On success adds the write's latency to `latency`; on failure leaves it
+  // unchanged (see MinidiskManager::Write).
+  Status Write(MinidiskId mdisk, uint64_t lba, SimDuration& latency);
+  // The same write, returning its latency.
+  StatusOr<SimDuration> Write(MinidiskId mdisk, uint64_t lba) {
+    SimDuration latency = 0;
+    Status status = Write(mdisk, lba, latency);
+    if (!status.ok()) {
+      return status;
+    }
+    return latency;
+  }
   StatusOr<ReadResult> Read(MinidiskId mdisk, uint64_t lba);
   StatusOr<RangeReadResult> ReadRange(MinidiskId mdisk, uint64_t lba,
                                       uint64_t count);
@@ -87,7 +98,14 @@ class SsdDevice {
   // kDecommissioned event is emitted for every still-live mDisk (a whole-
   // device failure is "logically equivalent to retiring all flash blocks
   // simultaneously", §4.3).
-  std::vector<MinidiskEvent> TakeEvents();
+  std::vector<MinidiskEvent> TakeEvents() {
+    // Without an injector nothing can be drawn, so an empty set of queues
+    // means an empty poll; this is the common case after a host write.
+    if (config_.faults == nullptr && pending_event_depth() == 0) {
+      return {};
+    }
+    return TakeEventsSlow();
+  }
 
   // How a crash ends: for good, or until someone plugs the rack back in.
   enum class CrashKind : uint8_t {
@@ -192,7 +210,31 @@ class SsdDevice {
                       const std::string& prefix = "") const;
 
  private:
-  void CheckBrick();
+  // TakeEvents past its inline empty-poll test.
+  std::vector<MinidiskEvent> TakeEventsSlow();
+  // Bricks the device once it has no live or draining mDisk left, or once
+  // its retired-block fraction passes brick_bad_block_fraction. Inline: it
+  // runs after every write and almost never acts.
+  void CheckBrick() {
+    if (failed_) {
+      return;
+    }
+    // A device whose remaining mDisks are all draining is read-only, not
+    // dead (SSDs "either fail entirely (i.e., brick) or become read-only",
+    // §2): it keeps serving recovery reads until the drains are acked.
+    bool brick = manager_->live_minidisks() == 0 &&
+                 manager_->draining_minidisks() == 0;
+    if (!brick && config_.brick_bad_block_fraction > 0.0) {
+      const double bad_fraction =
+          static_cast<double>(ftl_->retired_blocks()) /
+          static_cast<double>(config_.ftl.geometry.total_blocks());
+      brick = bad_fraction > config_.brick_bad_block_fraction;
+    }
+    if (brick) {
+      failed_ = true;
+      EmitBrickEvents();
+    }
+  }
   void EmitBrickEvents();
 
   SsdKind kind_;

@@ -45,10 +45,7 @@ const AgingConfig& RequireValidAgingConfig(const AgingConfig& config) {
 
 }  // namespace
 
-void LiveSetTracker::Apply(const std::vector<MinidiskEvent>& events) {
-  if (events.empty()) {
-    return;  // the usual poll: most writes change no mDisk
-  }
+void LiveSetTracker::ApplyBatch(const std::vector<MinidiskEvent>& events) {
   for (const MinidiskEvent& event : events) {
     switch (event.type) {
       case MinidiskEventType::kCreated: {
@@ -133,7 +130,8 @@ AgingResult AgingDriver::WriteOPages(uint64_t opages) {
       mdisk = tracker_.live()[target / msize];
       lba = target % msize;
     }
-    StatusOr<SimDuration> status = device_->Write(mdisk, lba);
+    SimDuration latency = 0;  // the driver bills no time
+    const Status status = device_->Write(mdisk, lba, latency);
     tracker_.Apply(device_->TakeEvents());
     if (status.ok()) {
       ++result.opages_written;
@@ -141,7 +139,7 @@ AgingResult AgingDriver::WriteOPages(uint64_t opages) {
       consecutive_errors = 0;
     } else {
       ++result.write_errors;
-      if (status.status().code() == StatusCode::kDeviceFailed ||
+      if (status.code() == StatusCode::kDeviceFailed ||
           ++consecutive_errors >= kMaxConsecutiveErrors) {
         result.device_failed = true;
         break;

@@ -25,8 +25,13 @@ class LiveSetTracker {
  public:
   // Applies an event batch. Idempotent per mDisk: a kCreated for an already-
   // tracked id and a kDecommissioned for an unknown id are ignored, so
-  // bootstrapping from device state plus replayed events is safe.
-  void Apply(const std::vector<MinidiskEvent>& events);
+  // bootstrapping from device state plus replayed events is safe. The
+  // usual poll is empty (most writes change no mDisk) and returns inline.
+  void Apply(const std::vector<MinidiskEvent>& events) {
+    if (!events.empty()) {
+      ApplyBatch(events);
+    }
+  }
 
   // Seeds the tracker from a device's current live set (for hosts attaching
   // to a device whose creation events were already consumed elsewhere).
@@ -44,6 +49,8 @@ class LiveSetTracker {
   uint64_t decommissioned_seen() const { return decommissioned_seen_; }
 
  private:
+  void ApplyBatch(const std::vector<MinidiskEvent>& events);
+
   std::vector<MinidiskId> live_;
   std::unordered_map<MinidiskId, size_t> index_;
   uint64_t created_seen_ = 0;
